@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -78,22 +79,8 @@ def _parse_points(text: str) -> list[tuple[float, float, int]]:
     return points
 
 
-def _point_json(p: jointspec.SpectralPoint) -> dict:
-    doc = {"s": model_io.format_float(p.s), "t": model_io.format_float(p.t)}
-    if p.r is not None:
-        doc["r"] = model_io.format_float(p.r)
-    if p.mult != 1:
-        doc["mult"] = p.mult
-    return doc
-
-
 def _emit(doc: dict) -> None:
     print(json.dumps(doc, indent=2))
-
-
-def _atom_json(at) -> dict:
-    return {"kind": at.kind.value, "s": model_io.format_float(at.s),
-            "t": model_io.format_float(at.t), "mult": at.mult}
 
 
 def _cmd_classify(args) -> int:
@@ -105,17 +92,17 @@ def _cmd_classify(args) -> int:
         report = regions.classify_brownian(model, eps)
         doc = {"quasi_brownian": report.quasi_brownian,
                "brownian": report.brownian,
-               "violators": [_point_json(p) for p in report.violators]}
+               "violators": [model_io.point_to_json(p) for p in report.violators]}
         try:
             dec = regions.brownian_decomposition(model, eps)
         except NotQuasiBrownian:
             dec = None
         if dec is not None:
             doc["decomposition"] = {
-                "h_u": [_atom_json(a) for a in dec.h_u],
-                "h_s": [_atom_json(a) for a in dec.h_s],
-                "h_si": [_atom_json(a) for a in dec.h_si],
-                "shift_flags": [_atom_json(a) for a in dec.shift_flags],
+                "h_u": [model_io.atom_to_json(a) for a in dec.h_u],
+                "h_s": [model_io.atom_to_json(a) for a in dec.h_s],
+                "h_si": [model_io.atom_to_json(a) for a in dec.h_si],
+                "shift_flags": [model_io.atom_to_json(a) for a in dec.shift_flags],
             }
         _emit(doc)
         return 0 if report.brownian else 1
@@ -127,8 +114,8 @@ def _cmd_classify(args) -> int:
     doc = {"region": region.token,
            "alias": region.alias,
            "verdict": report.verdict,
-           "points": [dict(_point_json(p), status=st) for p, st in report.per_point],
-           "violators": [_point_json(p) for p in report.violators]}
+           "points": [dict(model_io.point_to_json(p), status=st) for p, st in report.per_point],
+           "violators": [model_io.point_to_json(p) for p in report.violators]}
     _emit(doc)
     return 0 if report.verdict else 1
 
@@ -171,6 +158,8 @@ def _parse_grid(text: str) -> list[float]:
         start, stop, step = (float(f) for f in fields)
     except ValueError:
         raise QbsError(f"cannot parse grid {text!r}") from None
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise QbsError(f"grid {text!r} is not finite")
     if step <= 0 or stop < start:
         raise QbsError("grid needs step > 0 and stop >= start")
     alphas = []

@@ -8,40 +8,48 @@ One document describes exactly one model:
 * ``{"type": "embedding", "levels": L, "width": w, "v_scale": [re, im],
   "E": [[...]], "Q": [[...]]}``
 
-Scalars may be numbers or decimal strings; complex entries are ``[re, im]``
-pairs.  Writers emit decimal strings with 17 significant digits so a file
-round-trips the in-memory values exactly.  An optional top-level ``eps``
+Scalars may be numbers or decimal strings and must be finite; complex
+entries are ``[re, im]`` pairs.  The counts ``levels``, ``width`` and ``mult``
+are JSON integers >= 1.  Writers emit decimal strings with 17 significant
+digits so a file round-trips the in-memory values exactly.  An optional top-level ``eps``
 records the tolerance the model was prepared with.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ModelFormatError
+from .jointspec import SpectralPoint, format_float
 from .model import AtomKind, AtomModel, PairModel, QAtom, ShiftEmbedding
 
 _MODEL_TYPES = ("pair", "atoms", "embedding")
 
 
-def format_float(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _real(value, where: str) -> float:
     if isinstance(value, bool):
         raise ModelFormatError(f"{where}: expected a number, got a boolean")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
-        try:
-            return float(value)
-        except ValueError:
-            raise ModelFormatError(f"{where}: cannot parse {value!r} as a number") from None
-    raise ModelFormatError(f"{where}: expected a number or decimal string")
+    if not isinstance(value, (int, float, str)):
+        raise ModelFormatError(f"{where}: expected a number or decimal string")
+    try:
+        x = float(value)
+    except OverflowError:  # an integer beyond the double range
+        x = math.inf
+    except ValueError:
+        raise ModelFormatError(f"{where}: cannot parse {value!r} as a number") from None
+    if not math.isfinite(x):
+        raise ModelFormatError(f"{where}: {value!r} is not a finite number")
+    return x
+
+
+def _count(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ModelFormatError(f"{where}: expected an integer >= 1, got {value!r}")
+    return value
 
 
 def _complex(value, where: str) -> complex:
@@ -68,6 +76,20 @@ def _complex_json(z: complex) -> list[str]:
 
 def _matrix_json(a: np.ndarray) -> list[list[list[str]]]:
     return [[_complex_json(complex(v)) for v in row] for row in np.asarray(a, dtype=complex)]
+
+
+def point_to_json(p: SpectralPoint) -> dict:
+    doc = {"s": format_float(p.s), "t": format_float(p.t)}
+    if p.r is not None:
+        doc["r"] = format_float(p.r)
+    if p.mult != 1:
+        doc["mult"] = p.mult
+    return doc
+
+
+def atom_to_json(at: QAtom) -> dict:
+    return {"kind": at.kind.value, "s": format_float(at.s),
+            "t": format_float(at.t), "mult": at.mult}
 
 
 def model_from_json(doc, where: str = "model"):
@@ -108,13 +130,14 @@ def model_from_json(doc, where: str = "model"):
                 raise ModelFormatError(f"{ctx}: 'kind' must be 'unitary' or 'shift'") from None
             atoms.append(QAtom(k, _real(at.get("s", None), f"{ctx}.s"),
                                _real(at.get("t", None), f"{ctx}.t"),
-                               int(at.get("mult", 1))))
+                               _count(at.get("mult", 1), f"{ctx}.mult")))
         return AtomModel(tuple(atoms)), eps
     for key in ("levels", "width", "E", "Q"):
         if key not in doc:
             raise ModelFormatError(f"{where}: embedding needs '{key}'")
     v_scale = _complex(doc["v_scale"], f"{where}.v_scale") if "v_scale" in doc else 1.0 + 0.0j
-    return (ShiftEmbedding(int(doc["levels"]), int(doc["width"]),
+    return (ShiftEmbedding(_count(doc["levels"], f"{where}.levels"),
+                           _count(doc["width"], f"{where}.width"),
                            _matrix(doc["E"], f"{where}.E"),
                            _matrix(doc["Q"], f"{where}.Q"), v_scale), eps)
 
@@ -128,10 +151,7 @@ def model_to_json(model, eps: float | None = None) -> dict:
         else:
             doc = {"type": "pair", "A": _matrix_json(model.A), "B": _matrix_json(model.B)}
     elif isinstance(model, AtomModel):
-        doc = {"type": "atoms",
-               "atoms": [{"kind": at.kind.value, "s": format_float(at.s),
-                          "t": format_float(at.t), "mult": at.mult}
-                         for at in model.atoms]}
+        doc = {"type": "atoms", "atoms": [atom_to_json(at) for at in model.atoms]}
     elif isinstance(model, ShiftEmbedding):
         doc = {"type": "embedding", "levels": model.levels, "width": model.width,
                "v_scale": _complex_json(model.v_scale),

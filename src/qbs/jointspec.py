@@ -49,6 +49,8 @@ def _coerce_point(p) -> SpectralPoint:
 
 
 def _clamped(value: float, tol: float, what: str) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"{what} = {value!r} is not finite")
     if value < -tol:
         raise NegativeCoordinate(f"{what} = {value!r} is negative beyond tolerance")
     return 0.0 if value < 0.0 else value
@@ -60,8 +62,9 @@ class JointSpectrum:
 
     Points closer than ``dedup_tol`` in every coordinate are merged and their
     multiplicities added.  Coordinates in ``[-dedup_tol, 0)`` are clamped to 0;
-    anything more negative raises :class:`NegativeCoordinate`.  Either every
-    point carries an ``r`` coordinate or none does.
+    anything more negative raises :class:`NegativeCoordinate`, and NaN or an
+    infinity raises ``ValueError``.  Either every point carries an ``r``
+    coordinate or none does.
     """
 
     points: tuple[SpectralPoint, ...]
@@ -194,7 +197,8 @@ def projections(sigma: JointSpectrum) -> tuple[tuple[float, ...], tuple[float, .
     return s_vals, t_vals
 
 
-def _fmt(x: float) -> str:
+def format_float(x: float) -> str:
+    """17 significant digits: enough to read back the same double."""
     return format(float(x), ".17g")
 
 
@@ -202,10 +206,11 @@ def spectrum_to_csv(sigma: JointSpectrum) -> str:
     """CSV export, one point per line, 17 significant digits."""
     if sigma.has_r:
         lines = ["s,t,r,mult"]
-        lines += [f"{_fmt(p.s)},{_fmt(p.t)},{_fmt(p.r)},{p.mult}" for p in sigma.points]
+        lines += [f"{format_float(p.s)},{format_float(p.t)},{format_float(p.r)},{p.mult}"
+                  for p in sigma.points]
     else:
         lines = ["s,t,mult"]
-        lines += [f"{_fmt(p.s)},{_fmt(p.t)},{p.mult}" for p in sigma.points]
+        lines += [f"{format_float(p.s)},{format_float(p.t)},{p.mult}" for p in sigma.points]
     return "\n".join(lines) + "\n"
 
 

@@ -17,6 +17,7 @@ Three model types feed the classifiers:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable
@@ -41,6 +42,8 @@ _COORD_FLOOR = 1e-10  # roundoff negatives this small are clamped to zero
 
 
 def _clamp_coord(x: float, what: str) -> float:
+    if not math.isfinite(x):
+        raise ValueError(f"{what} = {x!r} is not finite")
     if x < -_COORD_FLOOR:
         raise NegativeCoordinate(f"{what} = {x!r} must be nonnegative")
     return 0.0 if x < 0.0 else x
@@ -406,6 +409,8 @@ class QAtom:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", AtomKind(self.kind))
+        if not (math.isfinite(self.s) and math.isfinite(self.t)):
+            raise ValueError("atom scales must be finite")
         if self.s < 0.0 or self.t < 0.0:
             raise NegativeCoordinate("atom scales must be nonnegative")
         if self.mult < 1:

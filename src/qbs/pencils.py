@@ -16,7 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
+
+import numpy as np
 
 from . import jointspec, regions
 from .errors import (
@@ -28,6 +30,8 @@ from .errors import (
 )
 from .jointspec import JointSpectrum, SpectralPoint
 from .linalg import DEFAULT_EPS
+
+_SCAN_CELLS = 1 << 16  # alpha x point cells per broadcast, bounds its temporaries
 
 
 class IntervalKind(Enum):
@@ -92,15 +96,12 @@ def sub_E(sigma: JointSpectrum, eps: float = DEFAULT_EPS) -> SubnormalityInterva
     """
     if not sigma.points:
         raise EmptySpectrum("the pencil needs a nonempty spectrum")
-    sharp = sharp_part(sigma, eps)
-    if not sharp:
+    try:
+        return _closed(beta_dagger(sigma, eps))
+    except EmptySharpPart:
         return SubnormalityInterval(IntervalKind.ALL_OF_R_PLUS)
-    if any(p.s > 1.0 + eps for p in sharp):
+    except PreconditionViolated:
         return SubnormalityInterval(IntervalKind.DEGENERATE_ZERO)
-    beta = min(math.sqrt(max(1.0 - p.s * p.s, 0.0)) / p.t for p in sharp)
-    if beta <= 0.0:
-        return SubnormalityInterval(IntervalKind.DEGENERATE_ZERO)
-    return SubnormalityInterval(IntervalKind.CLOSED, beta)
 
 
 def beta_sub(sigma: JointSpectrum, eps: float = DEFAULT_EPS) -> float:
@@ -122,12 +123,15 @@ def sub_Q(sigma: JointSpectrum, eps: float = DEFAULT_EPS) -> SubnormalityInterva
     """
     if not sigma.points:
         raise EmptySpectrum("the pencil needs a nonempty spectrum")
-    if any(p.t > 1.0 + eps for p in sigma.points):
+    try:
+        return _closed(beta_sub(sigma, eps))
+    except ENormExceedsOne:
         return SubnormalityInterval(IntervalKind.EMPTY)
-    flat = flat_part(sigma, eps)
-    if not flat:
+    except EmptyFlatPart:
         return SubnormalityInterval(IntervalKind.ALL_OF_R_PLUS)
-    beta = min(math.sqrt(max(1.0 - p.t * p.t, 0.0)) / p.s for p in flat)
+
+
+def _closed(beta: float) -> SubnormalityInterval:
     if beta <= 0.0:
         return SubnormalityInterval(IntervalKind.DEGENERATE_ZERO)
     return SubnormalityInterval(IntervalKind.CLOSED, beta)
@@ -137,24 +141,24 @@ def pencil_scan(emb, which: str, alphas: Iterable[float],
                 eps: float = DEFAULT_EPS) -> list[tuple[float, bool]]:
     """Subnormality verdicts along a grid of scalings of one entry.
 
-    ``which`` is ``"e"`` or ``"q"``.  The spectrum is computed once and the
-    scaling acts on its t (respectively s) coordinates.
+    ``which`` is ``"e"`` or ``"q"``.  The spectrum is computed once and each
+    scaling acts on the t (respectively s) coordinate of every one of its points.
     """
     token = which.strip().lower()
     if token not in ("e", "q"):
         raise ValueError(f"which must be 'e' or 'q', got {which!r}")
     sigma = emb if isinstance(emb, JointSpectrum) else jointspec.joint_spectrum(emb, eps=eps)
-    out: list[tuple[float, bool]] = []
-    for alpha in alphas:
-        a = float(alpha)
-        if a < 0.0:
-            raise ValueError("pencil parameters are nonnegative")
-        if token == "e":
-            scaled = JointSpectrum(tuple(SpectralPoint(p.s, a * p.t, None, p.mult)
-                                         for p in sigma.points), sigma.dedup_tol)
-        else:
-            scaled = JointSpectrum(tuple(SpectralPoint(a * p.s, p.t, None, p.mult)
-                                         for p in sigma.points), sigma.dedup_tol)
-        verdict = regions.classify(scaled, regions.SUBNORMAL, eps).verdict
-        out.append((a, verdict))
-    return out
+    alist = [float(alpha) for alpha in alphas]
+    if any(a < 0.0 for a in alist):
+        raise ValueError("pencil parameters are nonnegative")
+    if alist and not sigma.points:
+        raise EmptySpectrum("cannot classify an empty spectrum")
+    s = np.array([p.s for p in sigma.points])
+    t = np.array([p.t for p in sigma.points])
+    verdicts: list[bool] = []
+    rows = max(1, _SCAN_CELLS // max(len(s), 1))
+    for lo in range(0, len(alist), rows):
+        a = np.array(alist[lo:lo + rows])[:, None]
+        scaled = (s, a * t) if token == "e" else (a * s, t)
+        verdicts += regions.in_region(*scaled, regions.SUBNORMAL, eps).all(axis=1).tolist()
+    return list(zip(alist, verdicts))

@@ -11,7 +11,7 @@ import math
 from typing import Iterable, Sequence
 
 from .jointspec import JointSpectrum, SpectralPoint
-from .regions import RegionId, RegionKind
+from .regions import DISK, OFF_DISK, S_GE_1, S_LE_1, RegionId, region_terms
 
 SIZE = 520
 PAD = 46
@@ -45,10 +45,7 @@ class _Frame:
 
 def _quarter_disk_subpath(f: _Frame) -> str:
     # unit quarter disk in the closed quadrant; arc runs (1,0) -> (0,1)
-    r = _fmt(f.unit)
-    return (f"M {_fmt(f.x(1))} {_fmt(f.y(0))} "
-            f"A {r} {r} 0 0 0 {_fmt(f.x(0))} {_fmt(f.y(1))} "
-            f"L {_fmt(f.x(0))} {_fmt(f.y(0))} Z")
+    return f"{_arc_path(f)} L {_fmt(f.x(0))} {_fmt(f.y(0))} Z"
 
 
 def _rect_subpath(f: _Frame, s0: float, s1: float) -> str:
@@ -76,41 +73,24 @@ def _line_path(f: _Frame, s0, t0, s1, t1) -> str:
 
 
 def _region_layers(region: RegionId, f: _Frame, color: str) -> list[str]:
-    """Translate a region into fill/stroke layers inside the window."""
-    k = region.kind
-    m = region.m
-    arc = _stroke(_arc_path(f), color)
-    disk = _fill(_quarter_disk_subpath(f), color)
-    outside = _fill(_rect_subpath(f, 0, f.extent) + " " + _quarter_disk_subpath(f),
-                    color, evenodd=True)
-    axis = _stroke(_line_path(f, 0, 0, f.extent, 0), color, 4.0)
-    vline = _stroke(_line_path(f, 1, 0, 1, f.extent), color)
-    if k is RegionKind.SUBNORMAL:
-        return [disk, arc, axis]
-    if k is RegionKind.CONTRACTION:
-        return [disk, arc]
-    if k is RegionKind.EXPANSION:
-        return [outside, arc]
-    if k is RegionKind.ISOMETRY:
-        return [arc]
-    if k is RegionKind.TWO_ISOMETRY:
-        return [arc, vline]
-    if k is RegionKind.M_ISOMETRIC:
-        return [arc] if m == 1 else [arc, vline]
-    if k is RegionKind.M_CONTRACTIVE:
-        if m == 1:
-            return [disk, arc]
-        if m % 2 == 1:
-            return [disk, arc, vline]
-        return [disk, _fill(_rect_subpath(f, 1, f.extent), color), arc, vline]
-    if k is RegionKind.M_EXPANSIVE:
-        if m % 2 == 1:
-            return [outside, arc]
-        return [_fill(_rect_subpath(f, 0, 1) + " " + _quarter_disk_subpath(f),
-                      color, evenodd=True), arc, vline]
-    if k is RegionKind.DUAL_SUBNORMAL:
-        return [outside, arc, axis]
-    raise ValueError(f"no drawing recipe for {k}")
+    """Fill every term of the region, then stroke the frontier of each primitive."""
+    terms = region_terms(region)
+    layers = []
+    for term in terms:
+        # a disk piece fills the quarter disk, a complement piece the window
+        # around it; the half-planes s >= 1 and s <= 1 narrow the window
+        rect = _rect_subpath(f, 1.0 if S_GE_1 in term else 0.0,
+                             1.0 if S_LE_1 in term else f.extent)
+        if DISK in term:
+            layers.append(_fill(_quarter_disk_subpath(f), color))
+        elif OFF_DISK in term:
+            layers.append(_fill(f"{rect} {_quarter_disk_subpath(f)}", color, evenodd=True))
+        elif S_GE_1 in term or S_LE_1 in term:
+            layers.append(_fill(rect, color))
+    strokes = {"circle": _stroke(_arc_path(f), color),
+               "axis": _stroke(_line_path(f, 0, 0, f.extent, 0), color, 4.0),
+               "line": _stroke(_line_path(f, 1, 0, 1, f.extent), color)}
+    return layers + [strokes[p.frontier] for term in terms for p in term]
 
 
 def _axes(f: _Frame) -> list[str]:

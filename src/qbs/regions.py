@@ -3,18 +3,20 @@
 Each operator class corresponds to a closed region of the positive quadrant;
 the operator belongs to the class exactly when every joint spectral point
 lies in the region.  With D+ the open unit disk quarter, T+ the unit circle
-arc and L the vertical line s = 1:
+arc and L the vertical line s = 1, one table writes each region as a union of
+intersections of seven primitives (disk, complement of D+, T+, axis t = 0, L,
+s >= 1, s <= 1), and the m-indexed classes collapse by parity:
 
 =================  ====================================================
-Subnormal          closed disk or the axis t = 0
-Contraction        closed disk
-Expansion          complement of D+
-Isometry           T+
-TwoIsometry        T+ or L
-MContractive(m)    m = 1: disk; m odd: disk or L; m even: disk or s >= 1
-MExpansive(m)      m odd: complement of D+; m even: ... and s <= 1
-MIsometric(m)      m = 1: T+; m >= 2: T+ or L
-DualSubnormal      complement of D+ or the axis t = 0
+Subnormal          disk or axis
+Contraction        disk (also MContractive(1))
+Expansion          complement of D+ (also MExpansive(m), m odd)
+Isometry           T+ (also MIsometric(1))
+TwoIsometry        T+ or L (also MIsometric(m), m >= 2)
+MContractive(2)    disk or s >= 1 (all even m)
+MContractive(3)    disk or L (all odd m >= 3)
+MExpansive(2)      complement of D+ and s <= 1 (all even m)
+DualSubnormal      complement of D+ or axis
 =================  ====================================================
 
 ``che`` (complete hyperexpansivity), ``chc`` (complete hypercontractivity)
@@ -29,6 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, NamedTuple
+
+import numpy as np
 
 from .errors import BrownianCriteriaMismatch, EmptySpectrum, NotQuasiBrownian
 from .jointspec import JointSpectrum, SpectralPoint, inner_radius
@@ -131,42 +136,56 @@ def delta_regular() -> RegionId:
     return RegionId(RegionKind.EXPANSION, alias="delta-regular")
 
 
-def _member(s: float, t: float, region: RegionId, slack: float) -> bool:
-    k = region.kind
-    m = region.m
-    rr = s * s + t * t
-    disk = rr <= 1.0 + slack
-    outside = rr >= 1.0 - slack
-    circle = abs(rr - 1.0) <= slack
-    axis = t <= slack
-    line = abs(s - 1.0) <= slack
-    if k is RegionKind.SUBNORMAL:
-        return disk or axis
-    if k is RegionKind.CONTRACTION:
-        return disk
-    if k is RegionKind.EXPANSION:
-        return outside
-    if k is RegionKind.ISOMETRY:
-        return circle
-    if k is RegionKind.TWO_ISOMETRY:
-        return circle or line
-    if k is RegionKind.M_CONTRACTIVE:
-        if m == 1:
-            return disk
-        if m % 2 == 1:
-            return disk or line
-        return disk or s >= 1.0 - slack
-    if k is RegionKind.M_EXPANSIVE:
-        if m % 2 == 1:
-            return outside
-        return outside and s <= 1.0 + slack
+class Primitive(NamedTuple):
+    """A closed piece of the quadrant and the curve that bounds it."""
+
+    frontier: str  # "circle", "axis" or "line"
+    test: Callable  # (s, t, slack) -> widened membership, on floats or numpy arrays
+
+
+DISK = Primitive("circle", lambda s, t, slack: s * s + t * t <= 1.0 + slack)
+OFF_DISK = Primitive("circle", lambda s, t, slack: s * s + t * t >= 1.0 - slack)
+CIRCLE = Primitive("circle", lambda s, t, slack: abs(s * s + t * t - 1.0) <= slack)
+AXIS = Primitive("axis", lambda s, t, slack: t <= slack)
+LINE = Primitive("line", lambda s, t, slack: abs(s - 1.0) <= slack)
+S_GE_1 = Primitive("line", lambda s, t, slack: s >= 1.0 - slack)
+S_LE_1 = Primitive("line", lambda s, t, slack: s <= 1.0 + slack)
+
+# each stable region as a union of intersections of primitives
+_TABLE: dict[RegionId, tuple[tuple[Primitive, ...], ...]] = {
+    SUBNORMAL: ((DISK,), (AXIS,)),
+    CONTRACTION: ((DISK,),),
+    EXPANSION: ((OFF_DISK,),),
+    ISOMETRY: ((CIRCLE,),),
+    TWO_ISOMETRY: ((CIRCLE,), (LINE,)),
+    m_contractive(2): ((DISK,), (S_GE_1,)),
+    m_contractive(3): ((DISK,), (LINE,)),
+    m_expansive(2): ((OFF_DISK, S_LE_1),),
+    DUAL_SUBNORMAL: ((OFF_DISK,), (AXIS,)),
+}
+
+
+def region_terms(region: RegionId) -> tuple[tuple[Primitive, ...], ...]:
+    """The region as a union of intersections of primitives (Agler-Stankus collapse)."""
+    k, m = region.kind, region.m
     if k is RegionKind.M_ISOMETRIC:
-        if m == 1:
-            return circle
-        return circle or line
-    if k is RegionKind.DUAL_SUBNORMAL:
-        return outside or axis
-    raise AssertionError(f"unhandled region kind {k!r}")
+        return _TABLE[ISOMETRY if m == 1 else TWO_ISOMETRY]
+    if k is RegionKind.M_EXPANSIVE:
+        return _TABLE[EXPANSION if m % 2 else m_expansive(2)]
+    if k is RegionKind.M_CONTRACTIVE:
+        return _TABLE[CONTRACTION if m == 1 else m_contractive(3 if m % 2 else 2)]
+    return _TABLE[RegionId(k)]
+
+
+def in_region(s, t, region: RegionId, slack: float):
+    """Whether ``(s, t)`` lies in the region widened by ``slack``; elementwise on arrays."""
+    hit = False
+    for term in region_terms(region):
+        part = True
+        for prim in term:
+            part = part & prim.test(s, t, slack)
+        hit = hit | part
+    return hit
 
 
 def region_membership(point, region: RegionId, eps: float = DEFAULT_EPS) -> str:
@@ -179,9 +198,9 @@ def region_membership(point, region: RegionId, eps: float = DEFAULT_EPS) -> str:
         s, t = point.s, point.t
     else:
         s, t = (float(v) for v in tuple(point)[:2])
-    if not _member(s, t, region, eps):
+    if not in_region(s, t, region, eps):
         return "outside"
-    if _member(s, t, region, 0.0):
+    if in_region(s, t, region, 0.0):
         return "inside"
     return "boundary"
 
@@ -198,7 +217,11 @@ def classify(sigma: JointSpectrum, region: RegionId, eps: float = DEFAULT_EPS) -
     """Verdict for one operator class: every spectral point inside the region."""
     if not sigma.points:
         raise EmptySpectrum("cannot classify an empty spectrum")
-    statuses = tuple((p, region_membership(p, region, eps)) for p in sigma.points)
+    s = np.array([p.s for p in sigma.points])
+    t = np.array([p.t for p in sigma.points])
+    inner = np.where(in_region(s, t, region, 0.0), "inside", "boundary")
+    status = np.where(in_region(s, t, region, eps), inner, "outside")
+    statuses = tuple(zip(sigma.points, status.tolist()))
     violators = tuple(p for p, st in statuses if st == "outside")
     return ClassificationReport(region, not violators, statuses, violators)
 
@@ -230,10 +253,6 @@ class BrownianDecomposition:
     shift_flags: tuple[QAtom, ...]
 
 
-def _quasi_verdict(two: JointSpectrum, eps: float) -> ClassificationReport:
-    return classify(two, TWO_ISOMETRY, eps)
-
-
 def brownian_decomposition(m: AtomModel, eps: float = DEFAULT_EPS) -> BrownianDecomposition:
     """Structural split of a quasi-Brownian atom model.
 
@@ -244,7 +263,7 @@ def brownian_decomposition(m: AtomModel, eps: float = DEFAULT_EPS) -> BrownianDe
     two-isometry region test.
     """
     two, _ = atom_spectra(m)
-    if not _quasi_verdict(two, eps).verdict:
+    if not classify(two, TWO_ISOMETRY, eps).verdict:
         raise NotQuasiBrownian("structural decomposition needs a quasi-Brownian model")
     h_u: list[QAtom] = []
     h_s: list[QAtom] = []
@@ -252,14 +271,14 @@ def brownian_decomposition(m: AtomModel, eps: float = DEFAULT_EPS) -> BrownianDe
     other: list[QAtom] = []
     flags: list[QAtom] = []
     for at in m.atoms:
-        on_line = abs(at.s - 1.0) <= eps
+        on_line = LINE.test(at.s, at.t, eps)
         if at.kind is AtomKind.UNITARY and on_line:
             h_u.append(at)
         elif at.kind is AtomKind.SHIFT and on_line:
             h_s.append(at)
             if at.t > eps:
                 flags.append(at)
-        elif abs(at.s * at.s + at.t * at.t - 1.0) <= eps:
+        elif CIRCLE.test(at.s, at.t, eps):
             h_si.append(at)
         else:
             # unreachable once the quasi-Brownian test passed
@@ -288,15 +307,11 @@ def classify_brownian(m: AtomModel, eps: float = DEFAULT_EPS) -> BrownianReport:
             "the two-isometry region)"
         )
     two, three = atom_spectra(m)
-    quasi_report = _quasi_verdict(two, eps)
+    quasi_report = classify(two, TWO_ISOMETRY, eps)
     quasi = quasi_report.verdict
-    violators = list(quasi_report.violators)
-    spectral = quasi
-    for p in three.points:
-        if abs(p.s * p.s + p.t * p.t - 1.0) <= eps or abs(p.r - 1.0) <= eps:
-            continue
-        violators.append(p)
-        spectral = False
+    off = tuple(p for p in three.points
+                if not (CIRCLE.test(p.s, p.t, eps) or LINE.test(p.r, p.t, eps)))
+    spectral = quasi and not off
     if quasi:
         structural = not brownian_decomposition(m, eps).shift_flags
         if structural != spectral:
@@ -305,4 +320,4 @@ def classify_brownian(m: AtomModel, eps: float = DEFAULT_EPS) -> BrownianReport:
                 "sits on an eps-band overlap between the line s = 1 and the "
                 "unit circle"
             )
-    return BrownianReport(quasi, spectral, tuple(violators))
+    return BrownianReport(quasi, spectral, quasi_report.violators + off)

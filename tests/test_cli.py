@@ -67,6 +67,19 @@ def test_classify_needs_region_or_brownian(tmp_path, capsys):
     assert code == 2 and "region" in err
 
 
+@pytest.mark.parametrize("text", [
+    '{"type": "pair", "a": ["nan"], "b": [0.5]}',
+    '{"type": "pair", "a": ["inf"], "b": [0]}',
+    '{"type": "pair", "a": [NaN], "b": [0.5]}',
+    '{"type": "atoms", "atoms": [{"kind": "shift", "s": 1, "t": 0.5, "mult": 1.7}]}',
+])
+def test_classify_rejects_non_finite_and_non_integer_data(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "classify", str(path), "--region", "subnormal")
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_classify_missing_file(tmp_path, capsys):
     code, _, err = run(capsys, "classify", str(tmp_path / "no.json"), "--region", "subnormal")
     assert code == 2 and err.startswith("error:")
@@ -171,6 +184,14 @@ def test_pencil_grid_needs_out(tmp_path, capsys):
     model = write_pair(tmp_path, [0.6], [0.8])
     code, _, err = run(capsys, "pencil", model, "--which", "q", "--grid", "0:1:0.5")
     assert code == 2 and "--out" in err
+
+
+@pytest.mark.parametrize("grid", ["0:inf:1", "nan:1:0.5", "0:1:nan"])
+def test_pencil_grid_must_be_finite(tmp_path, capsys, grid):
+    model = write_pair(tmp_path, [0.6], [0.8])
+    code, _, err = run(capsys, "pencil", model, "--which", "e", "--grid", grid,
+                       "--out", str(tmp_path / "scan.csv"))
+    assert code == 2 and "finite" in err
 
 
 def test_pencil_which_is_validated(tmp_path, capsys):

@@ -83,9 +83,37 @@ def test_format_errors_are_specific():
         {"type": "atoms", "atoms": []},              # no atoms
         {"type": "atoms", "atoms": [{"kind": "spin", "s": 1, "t": 0}]},
         {"type": "embedding", "levels": 1, "width": 1},    # missing blocks
+        {"type": "pair", "a": ["nan"], "b": [0.5]},  # non-finite strings
+        {"type": "pair", "a": ["inf"], "b": [0]},
+        {"type": "pair", "a": [0.5], "b": ["-Infinity"]},
+        {"type": "pair", "a": [float("nan")], "b": [0.5]},  # non-finite numbers
+        {"type": "pair", "a": [0.5], "b": [float("inf")]},
+        {"type": "pair", "a": [10 ** 400], "b": [0.5]},    # beyond the double range
+        {"type": "pair", "A": [[["nan", 0]]], "B": [[1]]},
+        {"type": "pair", "a": [0.5], "b": [0.5], "eps": "nan"},
+        {"type": "atoms", "atoms": [{"kind": "shift", "s": "nan", "t": 0.5}]},
+        {"type": "atoms", "atoms": [{"kind": "unitary", "s": 0.5, "t": float("inf")}]},
     ):
         with pytest.raises(ModelFormatError):
             model_io.model_from_json(doc)
+    atom = {"kind": "shift", "s": 1, "t": 0}
+    emb = {"type": "embedding", "levels": 1, "width": 1, "E": [[1], [0]], "Q": [[1]]}
+    for field, doc in (
+        ("mult", {"type": "atoms", "atoms": [dict(atom, mult=1.7)]}),
+        ("mult", {"type": "atoms", "atoms": [dict(atom, mult=2.0)]}),
+        ("mult", {"type": "atoms", "atoms": [dict(atom, mult=True)]}),
+        ("mult", {"type": "atoms", "atoms": [dict(atom, mult=0)]}),
+        ("mult", {"type": "atoms", "atoms": [dict(atom, mult="2")]}),
+        ("levels", dict(emb, levels=True)),
+        ("levels", dict(emb, levels=1.5)),
+        ("levels", dict(emb, levels=0)),
+        ("width", dict(emb, width="1")),
+        ("width", dict(emb, width=-1)),
+    ):
+        with pytest.raises(ModelFormatError, match=field):
+            model_io.model_from_json(doc)
+    model_io.model_from_json(emb)  # the base documents are valid
+    model_io.model_from_json({"type": "atoms", "atoms": [dict(atom, mult=2)]})
 
 
 def test_load_reports_json_position(tmp_path):

@@ -27,6 +27,16 @@ def test_negative_coordinate_raises():
         qbs.JointSpectrum(((-0.5, 0.3),))
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_coordinate_raises(bad):
+    with pytest.raises(ValueError):
+        qbs.JointSpectrum(((float(bad), 0.3),))
+    with pytest.raises(ValueError):
+        qbs.JointSpectrum((qbs.SpectralPoint(0.5, 0.3, float(bad)),))
+    with pytest.raises(ValueError):
+        qbs.spectrum_from_csv(f"s,t,mult\n0.5,{bad},1\n")
+
+
 def test_mixed_r_presence_rejected():
     with pytest.raises(ValueError):
         qbs.JointSpectrum((qbs.SpectralPoint(1.0, 0.0, 1.0), qbs.SpectralPoint(0.5, 0.5)))

@@ -29,6 +29,20 @@ def test_pair_diagonal_length_mismatch():
         qbs.PairModel.from_diagonal([1.0], [1.0, 2.0])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_coordinates_rejected(bad):
+    with pytest.raises(ValueError):
+        qbs.PairModel.from_diagonal([bad], [0.5])
+    with pytest.raises(ValueError):
+        qbs.PairModel.from_diagonal([0.5], [bad])
+    with pytest.raises(ValueError):
+        qbs.realize_spectrum([(0.5, bad)], levels=2)
+    with pytest.raises(ValueError):
+        qbs.QAtom(qbs.AtomKind.SHIFT, bad, 0.5)
+    with pytest.raises(ValueError):
+        qbs.QAtom(qbs.AtomKind.UNITARY, 0.5, bad)
+
+
 def test_pair_matrices_must_be_psd_and_commuting():
     with pytest.raises(NotPositiveSemidefinite):
         qbs.PairModel.from_matrices(np.diag([1.0, -0.5]), np.eye(2))

@@ -1,6 +1,8 @@
 """Pencil subnormality intervals and grid scans."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qbs
 from qbs import pencils
@@ -94,3 +96,17 @@ def test_pencil_scan_argument_validation():
         qbs.pencil_scan(sigma, "x", [1.0])
     with pytest.raises(ValueError):
         qbs.pencil_scan(sigma, "e", [-0.5])
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.lists(st.tuples(st.floats(0, 2), st.floats(0, 2)), min_size=1, max_size=8),
+       st.lists(st.one_of(st.floats(0, 3), st.sampled_from([0.0, 0.5, 1.0, 2.0])), max_size=12),
+       st.sampled_from([1e-9, 1e-3]))
+def test_pencil_scan_tests_every_scaled_point(points, alphas, eps):
+    sigma = qbs.JointSpectrum(tuple(points))
+    for which, scale in (("e", lambda a, s, t: (s, a * t)), ("q", lambda a, s, t: (a * s, t))):
+        rows = qbs.pencil_scan(sigma, which, alphas, eps)
+        want = [(float(a), all(qbs.region_membership(scale(a, p.s, p.t), qbs.SUBNORMAL, eps)
+                               != "outside" for p in sigma.points)) for a in alphas]
+        assert rows == want
+        assert all(type(a) is float and type(ok) is bool for a, ok in rows)

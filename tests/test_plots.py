@@ -1,5 +1,6 @@
 """SVG rendering: determinism, region coverage, and layout rules."""
 
+import hashlib
 import math
 
 import pytest
@@ -45,6 +46,15 @@ def test_every_region_renders(region):
     assert svg.startswith("<svg ")
     assert svg.rstrip().endswith("</svg>")
     assert region.token in svg
+
+
+@pytest.mark.parametrize("extent,digest", [
+    (2.0, "38a23720e61e30a9d6301cf8a3ebf5fa01abc00e46f478eb111cc6e62d997b22"),
+    (3.5, "36fcea148c14852c129c166cd8bfa95601dd227df0c3df04977280a732ab5d5c"),
+])
+def test_every_region_renders_the_frozen_layers(extent, digest):
+    svg = plots.render_svg(ALL_REGIONS, spectrum(), extent=extent)
+    assert hashlib.sha256(svg.encode()).hexdigest() == digest
 
 
 def test_points_and_multiplicity_labels():

@@ -1,5 +1,6 @@
 """Region tokens, membership logic, classification, Brownian verdicts."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,6 +52,79 @@ def test_membership_statuses_on_reference_points():
     assert qbs.region_membership((1.0, 3.0), qbs.TWO_ISOMETRY) == "inside"
     assert qbs.region_membership((2.0, 0.0), qbs.DUAL_SUBNORMAL) == "inside"
     assert qbs.region_membership((0.3, 0.1), qbs.DUAL_SUBNORMAL) == "outside"
+
+
+def _seed_member(s: float, t: float, region, slack: float) -> bool:
+    # the membership rule as first written, one branch per kind and parity;
+    # kept as the reference the region table must reproduce
+    RegionKind = regions.RegionKind
+    k = region.kind
+    m = region.m
+    rr = s * s + t * t
+    disk = rr <= 1.0 + slack
+    outside = rr >= 1.0 - slack
+    circle = abs(rr - 1.0) <= slack
+    axis = t <= slack
+    line = abs(s - 1.0) <= slack
+    if k is RegionKind.SUBNORMAL:
+        return disk or axis
+    if k is RegionKind.CONTRACTION:
+        return disk
+    if k is RegionKind.EXPANSION:
+        return outside
+    if k is RegionKind.ISOMETRY:
+        return circle
+    if k is RegionKind.TWO_ISOMETRY:
+        return circle or line
+    if k is RegionKind.M_CONTRACTIVE:
+        if m == 1:
+            return disk
+        if m % 2 == 1:
+            return disk or line
+        return disk or s >= 1.0 - slack
+    if k is RegionKind.M_EXPANSIVE:
+        if m % 2 == 1:
+            return outside
+        return outside and s <= 1.0 + slack
+    if k is RegionKind.M_ISOMETRIC:
+        if m == 1:
+            return circle
+        return circle or line
+    if k is RegionKind.DUAL_SUBNORMAL:
+        return outside or axis
+    raise AssertionError(f"unhandled region kind {k!r}")
+
+
+_EVERY_REGION = ([qbs.RegionId(k) for k in regions.RegionKind if k not in regions._PARAMETRIC]
+                 + [qbs.RegionId(k, m) for k in regions._PARAMETRIC for m in range(1, 9)]
+                 + [qbs.RegionId.parse(a) for a in ("che", "chc", "delta-regular")])
+
+
+def _frontier_points(eps):
+    """A 0.05 grid on [0, 2.5]^2 plus points on and next to every frontier."""
+    grid = np.arange(51) * 0.05
+    pts = [(s, t) for s in grid for t in grid]
+    offsets = (0.0, eps / 2, -eps / 2, 2 * eps, -2 * eps)
+    for d in offsets:
+        for theta in np.linspace(0.0, np.pi / 2, 13):
+            r = np.sqrt(1.0 + d)
+            pts.append((r * np.cos(theta), r * np.sin(theta)))  # circle
+        for x in np.linspace(0.0, 2.5, 11):
+            pts.append((1.0 + d, x))  # line s = 1 and both half-planes
+            pts.append((x, d))  # axis t = 0
+    return [(float(s), float(t)) for s, t in pts]
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-3])
+def test_region_table_reproduces_the_seed_rule(eps):
+    pts = _frontier_points(eps)
+    s = np.array([p[0] for p in pts])
+    t = np.array([p[1] for p in pts])
+    for region in _EVERY_REGION:
+        for slack in (0.0, eps):
+            want = [_seed_member(a, b, region, slack) for a, b in pts]
+            assert [regions.in_region(a, b, region, slack) for a, b in pts] == want, region
+            assert regions.in_region(s, t, region, slack).tolist() == want, region
 
 
 def test_membership_eps_band_is_boundary():
