@@ -31,8 +31,6 @@ from .errors import (
 from .jointspec import JointSpectrum, SpectralPoint
 from .linalg import DEFAULT_EPS
 
-_SCAN_CELLS = 1 << 16  # alpha x point cells per broadcast, bounds its temporaries
-
 
 class IntervalKind(Enum):
     EMPTY = "empty"
@@ -155,10 +153,7 @@ def pencil_scan(emb, which: str, alphas: Iterable[float],
         raise EmptySpectrum("cannot classify an empty spectrum")
     s = np.array([p.s for p in sigma.points])
     t = np.array([p.t for p in sigma.points])
-    verdicts: list[bool] = []
-    rows = max(1, _SCAN_CELLS // max(len(s), 1))
-    for lo in range(0, len(alist), rows):
-        a = np.array(alist[lo:lo + rows])[:, None]
-        scaled = (s, a * t) if token == "e" else (a * s, t)
-        verdicts += regions.in_region(*scaled, regions.SUBNORMAL, eps).all(axis=1).tolist()
+    a = np.array(alist)[:, None]
+    scaled = (s, a * t) if token == "e" else (a * s, t)
+    verdicts = regions.in_region(*scaled, regions.SUBNORMAL, eps).all(axis=1).tolist()
     return list(zip(alist, verdicts))
