@@ -15,7 +15,8 @@ parse, or model errors.
 
 Tolerance resolution, most specific wins: ``--eps`` flag, then the model
 file's ``eps`` field, then the ``QBS_EPS`` environment variable, then the
-library default.
+library default.  A resolved tolerance that is NaN, infinite or negative is
+an error (exit 2).
 """
 
 from __future__ import annotations
@@ -40,16 +41,21 @@ _ENV_EPS = "QBS_EPS"
 
 def _resolve_eps(flag_eps, file_eps) -> float:
     if flag_eps is not None:
-        return float(flag_eps)
-    if file_eps is not None:
-        return float(file_eps)
-    env = os.environ.get(_ENV_EPS)
-    if env is not None:
+        eps, source = float(flag_eps), "--eps"
+    elif file_eps is not None:
+        eps, source = float(file_eps), "the model file's eps"
+    else:
+        env = os.environ.get(_ENV_EPS)
+        if env is None:
+            return DEFAULT_EPS
         try:
-            return float(env)
+            eps, source = float(env), _ENV_EPS
         except ValueError:
             raise QbsError(f"cannot parse {_ENV_EPS}={env!r} as a tolerance") from None
-    return DEFAULT_EPS
+    # eps = NaN reads every point as outside and eps = inf every point as inside
+    if not (math.isfinite(eps) and eps >= 0.0):
+        raise QbsError(f"{source} = {eps!r} is not a finite nonnegative tolerance")
+    return eps
 
 
 def _spectrum_of(model, eps: float) -> jointspec.JointSpectrum:

@@ -9,7 +9,8 @@ Three model types feed the classifiers:
   layer i + 1 and annihilates the last layer, so it is an exact isometry on
   all interior layers.  E maps H2 into layer 0 (the kernel of V*), which makes
   V*E = 0 automatic for built models.  Powers of order up to ``levels`` are
-  computed without truncation error (the headroom contract).
+  computed without truncation error (the headroom contract).  V is applied
+  by row shifts; only ``v_matrix()`` and ``assemble()`` build it densely.
 * :class:`AtomModel` -- a symbolic direct sum of scaled unitary and scaled
   unilateral-shift atoms for Q with scalar |E| weight per atom; this is the
   only model carrying enough |Q*| information for the full Brownian test.
@@ -96,22 +97,6 @@ class PairModel:
         return self.A, self.B
 
 
-def _shift_matrix(levels: int, width: int) -> np.ndarray:
-    # layer i -> layer i + 1, last layer -> 0
-    n = (levels + 1) * width
-    v = np.zeros((n, n), dtype=complex)
-    for i in range(levels):
-        v[(i + 1) * width:(i + 2) * width, i * width:(i + 1) * width] = np.eye(width)
-    return v
-
-
-def _shift_power(levels: int, width: int, n: int) -> np.ndarray:
-    out = np.zeros(((levels + 1) * width,) * 2, dtype=complex)
-    for i in range(levels + 1 - n):
-        out[(i + n) * width:(i + n + 1) * width, i * width:(i + 1) * width] = np.eye(width)
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class ShiftEmbedding:
     """Finite leveled-shift model of T = [[V, E], [0, Q]].
@@ -156,7 +141,14 @@ class ShiftEmbedding:
         return self.levels
 
     def v_matrix(self) -> np.ndarray:
-        return self.v_scale * _shift_matrix(self.levels, self.width)
+        """V as a dense matrix; the model operations apply V by row shifts instead."""
+        return self.v_scale * np.eye(self.h1_dim, k=-self.width, dtype=complex)
+
+    def _shift(self, x: np.ndarray) -> np.ndarray:
+        # V @ x by rows: layer i moves to layer i + 1, the last layer drops
+        out = np.zeros(x.shape, dtype=complex)
+        out[self.width:] = self.v_scale * x[:-self.width]
+        return out
 
     def e_gram(self) -> np.ndarray:
         return adjoint(self.E) @ self.E
@@ -208,15 +200,13 @@ def validate_class_q(emb: ShiftEmbedding, eps: float = DEFAULT_EPS) -> ClassQRep
     * ``q_quasinormal``   -- Q(Q*Q) = (Q*Q)Q.
 
     Each residual is compared against ``eps`` scaled by the norms entering the
-    identity; the verdict is the conjunction.
+    identity; the verdict is the conjunction.  The first two need no dense V:
+    V*V is |v|^2 I on the interior layers, and V*E is conj(v) times layers
+    1..levels of E.
     """
-    v = emb.v_matrix()
-    e = emb.E
-    q = emb.Q
-    interior = emb.levels * emb.width
-    vv = adjoint(v) @ v
-    r_iso = opnorm(vv[:interior, :interior] - np.eye(interior))
-    r_orth = opnorm(adjoint(v) @ e)
+    v, e, q = emb.v_scale, emb.E, emb.Q
+    r_iso = abs((v.conjugate() * v).real - 1.0)
+    r_orth = opnorm(v.conjugate() * e[emb.width:])
     gram = adjoint(e) @ e
     r_gram = opnorm(q @ gram - gram @ q)
     qq = adjoint(q) @ q
@@ -283,15 +273,6 @@ class PowerBlocks:
     E: np.ndarray
     Q: np.ndarray
 
-    def assemble(self) -> np.ndarray:
-        n1 = self.V.shape[0]
-        d = self.Q.shape[0]
-        t = np.zeros((n1 + d, n1 + d), dtype=complex)
-        t[:n1, :n1] = self.V
-        t[:n1, n1:] = self.E
-        t[n1:, n1:] = self.Q
-        return t
-
 
 def power(emb: ShiftEmbedding, n: int) -> PowerBlocks:
     """Blocks of T^n via the recursion E_{k+1} = V E_k + E Q^k, E_0 = 0.
@@ -303,13 +284,12 @@ def power(emb: ShiftEmbedding, n: int) -> PowerBlocks:
         raise ValueError("power order must be nonnegative")
     if n > emb.headroom:
         raise HeadroomExceeded(f"order {n} exceeds the embedding headroom {emb.headroom}")
-    v = emb.v_matrix()
     qpow = np.eye(emb.d, dtype=complex)
     en = np.zeros_like(emb.E)
     for _ in range(n):
-        en = v @ en + emb.E @ qpow
+        en = emb._shift(en) + emb.E @ qpow
         qpow = qpow @ emb.Q
-    vn = (emb.v_scale ** n) * _shift_power(emb.levels, emb.width, n)
+    vn = (emb.v_scale ** n) * np.eye(emb.h1_dim, k=-n * emb.width, dtype=complex)
     return PowerBlocks(n, vn, en, qpow)
 
 
@@ -368,7 +348,7 @@ def compose(t1: ShiftEmbedding, t2: ShiftEmbedding, eps: float = DEFAULT_EPS) ->
     if new_levels < 1:
         raise HeadroomExceeded("the product needs at least four layers to keep headroom 1")
     keep_rows = 2 * (new_levels + 1) * t1.width
-    e_full = t1.v_matrix() @ t2.E + t1.E @ t2.Q
+    e_full = t1._shift(t2.E) + t1.E @ t2.Q
     return ShiftEmbedding(new_levels, 2 * t1.width, e_full[:keep_rows, :],
                           t1.Q @ t2.Q, t1.v_scale * t2.v_scale)
 

@@ -265,6 +265,11 @@ def brownian_decomposition(m: AtomModel, eps: float = DEFAULT_EPS) -> BrownianDe
     two, _ = atom_spectra(m)
     if not classify(two, TWO_ISOMETRY, eps).verdict:
         raise NotQuasiBrownian("structural decomposition needs a quasi-Brownian model")
+    return _split_atoms(m, eps)
+
+
+def _split_atoms(m: AtomModel, eps: float) -> BrownianDecomposition:
+    # the structural split of a model that already passed the quasi-Brownian test
     h_u: list[QAtom] = []
     h_s: list[QAtom] = []
     h_si: list[QAtom] = []
@@ -313,7 +318,7 @@ def classify_brownian(m: AtomModel, eps: float = DEFAULT_EPS) -> BrownianReport:
                 if not (CIRCLE.test(p.s, p.t, eps) or LINE.test(p.r, p.t, eps)))
     spectral = quasi and not off
     if quasi:
-        structural = not brownian_decomposition(m, eps).shift_flags
+        structural = not _split_atoms(m, eps).shift_flags
         if structural != spectral:
             raise BrownianCriteriaMismatch(
                 "spectral and structural Brownian tests disagree; the model "

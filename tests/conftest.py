@@ -1,4 +1,7 @@
-"""Shared test configuration: per-criterion summary lines for the acceptance suite."""
+"""Shared test configuration: per-criterion summary lines for the acceptance suite.
+
+Each line gives the verdict and the wall time of the phase that decided it.
+"""
 
 import re
 
@@ -17,10 +20,11 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             num = int(m.group(1))
             # a failure in any phase beats an earlier PASS for the same item
             if label == "FAIL" or num not in results:
-                results[num] = (m.group(2), label)
+                results[num] = (m.group(2), label, getattr(rep, "duration", 0.0))
     if not results:
         return
     terminalreporter.write_sep("-", "acceptance criteria")
     for num in sorted(results):
-        name, label = results[num]
-        terminalreporter.write_line(f"criterion {num:02d} [{name.replace('_', ' ')}]: {label}")
+        name, label, seconds = results[num]
+        terminalreporter.write_line(
+            f"criterion {num:02d} [{name.replace('_', ' ')}]: {label} ({seconds:.2f} s)")

@@ -291,10 +291,23 @@ def test_eps_flag_beats_file(tmp_path, capsys, monkeypatch):
 
 
 def test_bad_env_eps_is_an_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("QBS_EPS", "soup")
     model = write_pair(tmp_path, [0.6], [0.8])
-    code, _, err = run(capsys, "classify", model, "--region", "subnormal")
-    assert code == 2 and "QBS_EPS" in err
+    bad_file = write_pair(tmp_path, [0.6], [0.8], name="bad.json", eps=-1.0)
+    # (QBS_EPS, extra argv, model file, word the message must name)
+    cases = [("soup", [], model, "QBS_EPS"), ("nan", [], model, "QBS_EPS"),
+             ("-1", [], model, "QBS_EPS"), (None, ["--eps", "nan"], model, "--eps"),
+             (None, ["--eps", "inf"], model, "--eps"), (None, ["--eps", "-1"], model, "--eps"),
+             (None, [], bad_file, "model file")]
+    for env, extra, path, named in cases:
+        if env is None:
+            monkeypatch.delenv("QBS_EPS", raising=False)
+        else:
+            monkeypatch.setenv("QBS_EPS", env)
+        code, out, err = run(capsys, "classify", path, "--region", "subnormal", *extra)
+        assert (code, out) == (2, ""), (env, extra, path)
+        assert named in err
+    code, out, _ = run(capsys, "oracle", "--point", "0.5,0.5", "--eps", "-inf")
+    assert (code, out) == (2, "")
 
 
 # -- argparse plumbing --------------------------------------------------------

@@ -105,13 +105,70 @@ def test_operator_norm_equals_largest_singular_value():
 
 # ---------------------------------------------------------------------- powers
 
-def test_power_matches_matrix_power():
-    emb = _diag_embedding([0.5, 1.2], [0.7, 0.1], levels=5)
+def _assert_powers_match_matrix_power(emb):
     t = emb.assemble()
-    for n in range(6):
+    h1 = emb.h1_dim
+    for n in range(emb.levels + 1):
         blocks = qbs.power(emb, n)
-        np.testing.assert_allclose(blocks.assemble(), np.linalg.matrix_power(t, n),
-                                   atol=1e-12)
+        tn = np.linalg.matrix_power(t, n)
+        for got, want in ((blocks.V, tn[:h1, :h1]), (blocks.E, tn[:h1, h1:]),
+                          (blocks.Q, tn[h1:, h1:]), (0.0, tn[h1:, :h1])):
+            np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+def test_power_matches_matrix_power():
+    _assert_powers_match_matrix_power(_diag_embedding([0.5, 1.2], [0.7, 0.1], levels=5))
+
+
+def _random_pair_of_embeddings(rng, levels, width, d):
+    """Two embeddings with E nonzero in every layer and scaled, phased shifts.
+
+    Both factors share an eigenbasis U, so each Q commutes with the other's
+    Q*Q and E*E, as :func:`qbs.compose` requires.
+    """
+    h1 = (levels + 1) * width
+    u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    out = []
+    for _ in range(2):
+        w, _ = np.linalg.qr(rng.normal(size=(h1, d)) + 1j * rng.normal(size=(h1, d)))
+        e = w @ np.diag(rng.uniform(0.2, 1.0, size=d)) @ adjoint(u)
+        q = u @ np.diag(rng.uniform(0.2, 1.0, size=d)
+                        * np.exp(2j * np.pi * rng.uniform(size=d))) @ adjoint(u)
+        v_scale = rng.choice([1.0, 0.9, 1.1]) * np.exp(2j * np.pi * rng.uniform())
+        assert all(opnorm(e[i * width:(i + 1) * width]) > 0.0 for i in range(levels + 1))
+        out.append(qbs.ShiftEmbedding(levels, width, e, q, v_scale))
+    return out
+
+
+def _assert_residuals_match_dense_v(emb):
+    v = emb.v_matrix()
+    interior = emb.levels * emb.width
+    dense = {
+        "v_isometry": opnorm((adjoint(v) @ v)[:interior, :interior] - np.eye(interior)),
+        "ve_orthogonal": opnorm(adjoint(v) @ emb.E),
+    }
+    report = qbs.validate_class_q(emb)
+    for name, want in dense.items():
+        check = report.check(name)
+        assert abs(check.residual - want) <= max(1e-15, 1e-12 * want), name
+        assert check.passed == (want <= check.threshold), name
+
+
+def test_row_shift_route_matches_dense_v():
+    rng = np.random.default_rng(33)
+    for _ in range(40):
+        levels, width = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+        d = int(rng.integers(1, min(4, (levels + 1) * width) + 1))
+        t1, t2 = _random_pair_of_embeddings(rng, levels, width, d)
+        _assert_powers_match_matrix_power(t1)
+        _assert_residuals_match_dense_v(t1)
+        layer0 = t1.E.copy()
+        layer0[width:] = 0.0
+        _assert_residuals_match_dense_v(dataclasses.replace(t1, E=layer0))
+        if levels >= 3:
+            comp = qbs.compose(t1, t2)
+            prod = t1.assemble() @ t2.assemble()
+            np.testing.assert_allclose(comp.E, prod[:comp.h1_dim, t1.h1_dim:], atol=1e-12)
 
 
 def test_power_recursion_is_bitwise_stable():
