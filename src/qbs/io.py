@@ -12,7 +12,7 @@ Scalars may be numbers or decimal strings and must be finite; complex
 entries are ``[re, im]`` pairs.  The counts ``levels``, ``width`` and ``mult``
 are JSON integers >= 1.  Writers emit decimal strings with 17 significant
 digits so a file round-trips the in-memory values exactly.  An optional top-level ``eps``
-records the tolerance the model was prepared with.
+records the tolerance the model was prepared with; it must not be negative.
 """
 
 from __future__ import annotations
@@ -100,6 +100,8 @@ def model_from_json(doc, where: str = "model"):
     if kind not in _MODEL_TYPES:
         raise ModelFormatError(f"{where}: 'type' must be one of {_MODEL_TYPES}, got {kind!r}")
     eps = _real(doc["eps"], f"{where}.eps") if "eps" in doc else None
+    if eps is not None and eps < 0.0:
+        raise ModelFormatError(f"{where}.eps: the model file's eps = {eps!r} is negative")
     if kind == "pair":
         has_diag = "a" in doc or "b" in doc
         has_mat = "A" in doc or "B" in doc

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from functools import cached_property
+from typing import Callable
+
+import numpy as np
 
 from . import linalg
 from .errors import EmptySpectrum, ImageOutsideQuadrant, NegativeCoordinate
@@ -37,34 +40,127 @@ class SpectralPoint:
         return (self.s, self.t, self.r)
 
 
-def _coerce_point(p) -> SpectralPoint:
+def _row(p) -> tuple:
+    """``(s, t, r, mult)`` of a :class:`SpectralPoint` or of an ``(s, t[, r])`` sequence."""
     if isinstance(p, SpectralPoint):
-        return p
-    vals = tuple(float(x) for x in p)
-    if len(vals) == 2:
-        return SpectralPoint(vals[0], vals[1])
-    if len(vals) == 3:
-        return SpectralPoint(vals[0], vals[1], vals[2])
-    raise ValueError(f"cannot read a spectral point from {p!r}")
+        return p.s, p.t, p.r, p.mult
+    vals = tuple(map(float, p))
+    if len(vals) not in (2, 3):
+        raise ValueError(f"cannot read a spectral point from {p!r}")
+    return vals[0], vals[1], vals[2] if len(vals) == 3 else None, 1
 
 
-def _clamped(value: float, tol: float, what: str) -> float:
-    if not math.isfinite(value):
-        raise ValueError(f"{what} = {value!r} is not finite")
-    if value < -tol:
-        raise NegativeCoordinate(f"{what} = {value!r} is negative beyond tolerance")
-    return 0.0 if value < 0.0 else value
+def _coerce_point(p) -> SpectralPoint:
+    return p if isinstance(p, SpectralPoint) else SpectralPoint(*_row(p))
+
+
+def _clamped(value, tol: float, what: str) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{what} = {x!r} is not finite")
+    if x < -tol:
+        raise NegativeCoordinate(f"{what} = {x!r} is negative beyond tolerance")
+    return x if x > 0.0 else 0.0  # also turns -0.0 into 0.0
+
+
+def _far_apart(keys: list[tuple], tol: float) -> bool:
+    """True when no two of the sorted ``keys`` lie within ``tol`` of each other.
+
+    Checks the pairs whose ``s`` are at most 2 tol apart, and gives up (False)
+    once there are more of them than keys, which leaves dense sets to the
+    array scan of :func:`_merge`.
+    """
+    budget = len(keys)
+    for i, a in enumerate(keys):
+        for j in range(i + 1, len(keys)):
+            b = keys[j]
+            if b[0] - a[0] > 2.0 * tol:
+                break
+            budget -= 1
+            if budget < 0 or max(abs(p - q) for p, q in zip(a, b)) <= tol:
+                return False
+    return True
+
+
+def _merge(keys: list[tuple], counts: list[int], tol: float) -> tuple[list[tuple], list[int]]:
+    """Single-linkage merge of the points ``keys`` at Chebyshev distance ``tol``.
+
+    Returns the lexicographically smallest point of each cluster, in
+    lexicographic order, with the summed multiplicities.
+    """
+    # exact duplicates first, so that no window below is crowded with equal points
+    total: dict[tuple, int] = {}
+    for key, count in zip(keys, counts):
+        total[key] = total.get(key, 0) + count
+    keys = sorted(total)
+    counts = [total[key] for key in keys]
+    if _far_apart(keys, tol):
+        return keys, counts
+    # Near pairs are looked for in windows 2 tol wide along one coordinate, so
+    # that rounding of a window's bound cannot drop a pair the exact test
+    # would join.
+    x = np.array(keys)
+    n = len(x)
+    best = None
+    for column in x.T:  # scan the coordinate whose windows hold the fewest pairs
+        order = np.argsort(column, kind="stable")
+        v = column[order]
+        width = np.searchsorted(v, v + 2.0 * tol, side="right") - np.arange(1, n + 1)
+        pairs = int(width.sum())
+        if best is None or pairs < best[0]:
+            best = (pairs, order, width)
+    _, order, width = best
+    root = np.arange(n)
+    step, i = 1, np.flatnonzero(width >= 1)
+    while len(i):
+        a, b = order[i], order[i + step]
+        near = np.abs(x[a] - x[b]).max(axis=1) <= tol
+        root = _join(root, a[near], b[near])
+        step += 1
+        if (width >= step).any():
+            # a window whose points all share one cluster has nothing left to join
+            seam = np.concatenate(([0], np.cumsum(root[order[1:]] != root[order[:-1]])))
+            width[seam[np.arange(n) + width] == seam] = 0
+        i = np.flatnonzero(width >= step)
+    summed = np.zeros(n, dtype=np.int64)
+    np.add.at(summed, root, counts)
+    kept = np.flatnonzero(root == np.arange(n))
+    return [keys[k] for k in kept.tolist()], summed[kept].tolist()
+
+
+def _join(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Join the clusters of ``a[k]`` and ``b[k]`` for every k.
+
+    ``root`` maps each row to the smallest row of its cluster; hooking the
+    larger root under the smaller keeps it so.
+    """
+    while True:
+        ra, rb = root[a], root[b]
+        apart = ra != rb
+        if not apart.any():
+            return root
+        np.minimum.at(root, np.maximum(ra, rb)[apart], np.minimum(ra, rb)[apart])
+        while True:
+            up = root[root]
+            if (up == root).all():
+                break
+            root = up
 
 
 @dataclass(frozen=True)
 class JointSpectrum:
     """Finite multiset of spectral points, deduplicated on construction.
 
-    Points closer than ``dedup_tol`` in every coordinate are merged and their
-    multiplicities added.  Coordinates in ``[-dedup_tol, 0)`` are clamped to 0;
-    anything more negative raises :class:`NegativeCoordinate`, and NaN or an
-    infinity raises ``ValueError``.  Either every point carries an ``r``
-    coordinate or none does.
+    Points joined by a chain of steps, each at most ``dedup_tol`` in every
+    coordinate, are one cluster.  A cluster keeps its lexicographically
+    smallest point (by ``(s, t, r)``), not the first one read in, and the sum
+    of the multiplicities, so the result does not depend on the input order.
+    Points come out sorted by ``(s, t, r)``; the arrays ``s``, ``t``, ``r``
+    (``None`` without an r coordinate) and ``mult`` hold the same data.
+    Coordinates in ``[-dedup_tol, 0)`` are clamped to 0; anything more
+    negative raises :class:`NegativeCoordinate`, and NaN or an infinity raises
+    ``ValueError``.  Either every point carries an ``r`` coordinate or none
+    does.
     """
 
     points: tuple[SpectralPoint, ...]
@@ -72,28 +168,25 @@ class JointSpectrum:
 
     def __post_init__(self) -> None:
         tol = float(self.dedup_tol)
-        raw = [_coerce_point(p) for p in self.points]
-        has_r = [p.r is not None for p in raw]
-        if any(has_r) and not all(has_r):
+        if not (math.isfinite(tol) and tol >= 0.0):
+            raise ValueError(f"dedup_tol = {tol!r} is not a finite nonnegative tolerance")
+        rows = [_row(p) for p in self.points]
+        missing = sum(r is None for _, _, r, _ in rows)
+        if 0 < missing < len(rows):
             raise ValueError("either every point carries r or none does")
-        cleaned: list[SpectralPoint] = []
-        for p in raw:
-            if p.mult < 1:
-                raise ValueError("multiplicities must be positive")
-            s = _clamped(float(p.s), tol, "s")
-            t = _clamped(float(p.t), tol, "t")
-            r = None if p.r is None else _clamped(float(p.r), tol, "r")
-            cleaned.append(SpectralPoint(s, t, r, int(p.mult)))
-        merged: list[SpectralPoint] = []
-        for p in cleaned:
-            for i, q in enumerate(merged):
-                if max(abs(a - b) for a, b in zip(p.coords(), q.coords())) <= tol:
-                    merged[i] = SpectralPoint(q.s, q.t, q.r, q.mult + p.mult)
-                    break
-            else:
-                merged.append(p)
-        merged.sort(key=lambda p: (p.s, p.t, -math.inf if p.r is None else p.r))
-        object.__setattr__(self, "points", tuple(merged))
+        with_r = bool(rows) and not missing
+        if any(m < 1 for *_, m in rows):
+            raise ValueError("multiplicities must be positive")
+        counts = [int(m) for *_, m in rows]
+        if sum(counts) >= 2 ** 63:
+            raise ValueError("the multiplicities add up beyond 2**63 - 1")
+        names = ("s", "t", "r") if with_r else ("s", "t")
+        tols = (tol,) * len(names)
+        keys = [tuple(map(_clamped, row, tols, names)) for row in rows]
+        keys, counts = _merge(keys, counts, tol)
+        points = tuple(SpectralPoint(k[0], k[1], k[2] if with_r else None, c)
+                       for k, c in zip(keys, counts))
+        object.__setattr__(self, "points", points)
         object.__setattr__(self, "dedup_tol", tol)
 
     def __len__(self) -> int:
@@ -105,6 +198,33 @@ class JointSpectrum:
     @property
     def has_r(self) -> bool:
         return bool(self.points) and self.points[0].r is not None
+
+    # Each array is built on first use and kept; it is read-only.
+    @cached_property
+    def s(self) -> np.ndarray:
+        """The ``s`` coordinates, in the order of ``points``."""
+        return _frozen_array([p.s for p in self.points], float)
+
+    @cached_property
+    def t(self) -> np.ndarray:
+        """The ``t`` coordinates, in the order of ``points``."""
+        return _frozen_array([p.t for p in self.points], float)
+
+    @cached_property
+    def r(self) -> np.ndarray | None:
+        """The ``r`` coordinates, or ``None`` when the points carry none."""
+        return _frozen_array([p.r for p in self.points], float) if self.has_r else None
+
+    @cached_property
+    def mult(self) -> np.ndarray:
+        """The multiplicities, in the order of ``points``."""
+        return _frozen_array([p.mult for p in self.points], np.int64)
+
+
+def _frozen_array(values: list, dtype) -> np.ndarray:
+    a = np.array(values, dtype=dtype)
+    a.flags.writeable = False
+    return a
 
 
 def joint_spectrum(pair_or_embedding, dedup_tol: float = DEDUP_TOL,
@@ -155,14 +275,14 @@ def radius(sigma: JointSpectrum) -> float:
     """Joint spectral radius ``max sqrt(s^2 + t^2)``."""
     if not sigma.points:
         raise EmptySpectrum("radius of an empty spectrum")
-    return max(math.hypot(p.s, p.t) for p in sigma.points)
+    return max(map(math.hypot, sigma.s.tolist(), sigma.t.tolist()))
 
 
 def inner_radius(sigma: JointSpectrum) -> float:
     """Distance of the spectrum from the origin, ``min sqrt(s^2 + t^2)``."""
     if not sigma.points:
         raise EmptySpectrum("inner radius of an empty spectrum")
-    return min(math.hypot(p.s, p.t) for p in sigma.points)
+    return min(map(math.hypot, sigma.s.tolist(), sigma.t.tolist()))
 
 
 def union(first: JointSpectrum, second: JointSpectrum) -> JointSpectrum:
@@ -177,24 +297,26 @@ def union(first: JointSpectrum, second: JointSpectrum) -> JointSpectrum:
 
 def product_vanishes(sigma: JointSpectrum, eps: float = linalg.DEFAULT_EPS) -> bool:
     """True when ``s * t <= eps`` for every point (the pair has a vanishing product)."""
-    return all(p.s * p.t <= eps for p in sigma.points)
+    return bool(np.all(sigma.s * sigma.t <= eps))
 
 
-def _dedup_values(values: Iterable[float], tol: float) -> tuple[float, ...]:
-    out: list[float] = []
-    for v in sorted(values):
-        if not out or v - out[-1] > tol:
-            out.append(v)
-    return tuple(out)
+def _run_starts(values: np.ndarray, tol: float) -> tuple[float, ...]:
+    v = np.sort(values)
+    start = np.ones(len(v), dtype=bool)
+    start[1:] = np.diff(v) > tol
+    return tuple(v[start].tolist())
 
 
 def projections(sigma: JointSpectrum) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Coordinate projections: the spectra of the two single operators."""
+    """Coordinate projections: the spectra of the two single operators.
+
+    Each projection merges by the rule of :class:`JointSpectrum`: sorted
+    values split where neighbours are more than ``dedup_tol`` apart, and each
+    run keeps its smallest value.
+    """
     if not sigma.points:
         raise EmptySpectrum("projections of an empty spectrum")
-    s_vals = _dedup_values((p.s for p in sigma.points), sigma.dedup_tol)
-    t_vals = _dedup_values((p.t for p in sigma.points), sigma.dedup_tol)
-    return s_vals, t_vals
+    return _run_starts(sigma.s, sigma.dedup_tol), _run_starts(sigma.t, sigma.dedup_tol)
 
 
 def format_float(x: float) -> str:

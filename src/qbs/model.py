@@ -191,6 +191,11 @@ class ClassQReport:
         raise KeyError(name)
 
 
+def _gram_norm(gram: np.ndarray) -> float:
+    """Operator norm of X from its Gram matrix X*X."""
+    return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)) if gram.size else 0.0
+
+
 def validate_class_q(emb: ShiftEmbedding, eps: float = DEFAULT_EPS) -> ClassQReport:
     """Residuals of the four block-operator axioms.
 
@@ -202,16 +207,19 @@ def validate_class_q(emb: ShiftEmbedding, eps: float = DEFAULT_EPS) -> ClassQRep
     Each residual is compared against ``eps`` scaled by the norms entering the
     identity; the verdict is the conjunction.  The first two need no dense V:
     V*V is |v|^2 I on the interior layers, and V*E is conj(v) times layers
-    1..levels of E.
+    1..levels of E.  The tall blocks' norms come from their small Gram
+    matrices, ``|X| = sqrt(lambda_max(X*X))``.
     """
     v, e, q = emb.v_scale, emb.E, emb.Q
+    rest = e[emb.width:]
     r_iso = abs((v.conjugate() * v).real - 1.0)
-    r_orth = opnorm(v.conjugate() * e[emb.width:])
+    # R*R from R itself: gram minus the layer-0 Gram block would cancel catastrophically
+    r_orth = abs(v) * _gram_norm(adjoint(rest) @ rest)
     gram = adjoint(e) @ e
     r_gram = opnorm(q @ gram - gram @ q)
     qq = adjoint(q) @ q
     r_quasi = opnorm(q @ qq - qq @ q)
-    ne, nq = opnorm(e), opnorm(q)
+    ne, nq = _gram_norm(gram), opnorm(q)
     checks = (
         AxiomCheck("v_isometry", r_iso, eps),
         AxiomCheck("ve_orthogonal", r_orth, eps * (1.0 + ne)),

@@ -151,9 +151,7 @@ def pencil_scan(emb, which: str, alphas: Iterable[float],
         raise ValueError("pencil parameters are nonnegative")
     if alist and not sigma.points:
         raise EmptySpectrum("cannot classify an empty spectrum")
-    s = np.array([p.s for p in sigma.points])
-    t = np.array([p.t for p in sigma.points])
     a = np.array(alist)[:, None]
-    scaled = (s, a * t) if token == "e" else (a * s, t)
+    scaled = (sigma.s, a * sigma.t) if token == "e" else (a * sigma.s, sigma.t)
     verdicts = regions.in_region(*scaled, regions.SUBNORMAL, eps).all(axis=1).tolist()
     return list(zip(alist, verdicts))

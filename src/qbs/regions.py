@@ -217,10 +217,8 @@ def classify(sigma: JointSpectrum, region: RegionId, eps: float = DEFAULT_EPS) -
     """Verdict for one operator class: every spectral point inside the region."""
     if not sigma.points:
         raise EmptySpectrum("cannot classify an empty spectrum")
-    s = np.array([p.s for p in sigma.points])
-    t = np.array([p.t for p in sigma.points])
-    inner = np.where(in_region(s, t, region, 0.0), "inside", "boundary")
-    status = np.where(in_region(s, t, region, eps), inner, "outside")
+    inner = np.where(in_region(sigma.s, sigma.t, region, 0.0), "inside", "boundary")
+    status = np.where(in_region(sigma.s, sigma.t, region, eps), inner, "outside")
     statuses = tuple(zip(sigma.points, status.tolist()))
     violators = tuple(p for p, st in statuses if st == "outside")
     return ClassificationReport(region, not violators, statuses, violators)

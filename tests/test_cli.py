@@ -310,6 +310,15 @@ def test_bad_env_eps_is_an_error(tmp_path, capsys, monkeypatch):
     assert (code, out) == (2, "")
 
 
+def test_dual_rejects_a_negative_file_eps(tmp_path, capsys):
+    bad_file = write_pair(tmp_path, [0.6], [0.8], name="bad.json", eps=-1.0)
+    out_path = tmp_path / "d.json"
+    code, out, err = run(capsys, "dual", bad_file, "--eps", "1e-9", "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert "eps" in err
+    assert not out_path.exists()
+
+
 # -- argparse plumbing --------------------------------------------------------
 
 def test_help_exits_zero(capsys):

@@ -91,6 +91,7 @@ def test_format_errors_are_specific():
         {"type": "pair", "a": [10 ** 400], "b": [0.5]},    # beyond the double range
         {"type": "pair", "A": [[["nan", 0]]], "B": [[1]]},
         {"type": "pair", "a": [0.5], "b": [0.5], "eps": "nan"},
+        {"type": "pair", "a": [0.5], "b": [0.5], "eps": -1e-12},  # negative tolerance
         {"type": "atoms", "atoms": [{"kind": "shift", "s": "nan", "t": 0.5}]},
         {"type": "atoms", "atoms": [{"kind": "unitary", "s": 0.5, "t": float("inf")}]},
     ):

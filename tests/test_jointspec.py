@@ -1,6 +1,8 @@
 """Finite joint spectra: construction, maps, radii, projections, CSV."""
 
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -45,6 +47,18 @@ def test_mixed_r_presence_rejected():
 def test_nonpositive_multiplicity_rejected():
     with pytest.raises(ValueError):
         qbs.JointSpectrum((qbs.SpectralPoint(1.0, 0.0, None, 0),))
+
+
+def test_multiplicities_beyond_int64_rejected():
+    big = qbs.SpectralPoint(1.0, 0.0, None, 2 ** 62)
+    with pytest.raises(ValueError):
+        qbs.JointSpectrum((big, big))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-8])
+def test_bad_dedup_tolerance_rejected(bad):
+    with pytest.raises(ValueError):
+        qbs.JointSpectrum(((0.5, 0.5),), dedup_tol=bad)
 
 
 def test_joint_spectrum_of_diagonal_pair():
@@ -120,6 +134,9 @@ def test_projections_deduplicate_coordinates():
     s_vals, t_vals = qbs.projections(sigma)
     assert s_vals == (0.5, 1.0)
     assert t_vals == (0.3, 0.7)
+    # a chain of steps within dedup_tol is one value, kept at its smallest
+    chain = qbs.JointSpectrum(((0.5, 0.1), (0.5 + 0.6e-8, 0.5), (0.5 + 1.2e-8, 0.9)))
+    assert qbs.projections(chain) == ((0.5,), (0.1, 0.5, 0.9))
 
 
 def test_csv_round_trip_with_and_without_r():
@@ -144,3 +161,120 @@ def test_construction_is_idempotent_and_radius_dominates(points):
     assert again.points == sigma.points
     assert qbs.radius(sigma) >= qbs.inner_radius(sigma)
     assert qbs.radius(sigma) == pytest.approx(max(math.hypot(s, t) for s, t in points), abs=1e-7)
+
+
+# -- the merge rule -------------------------------------------------------------
+
+_UNIT = 2.0 ** -30
+_TOL = 4 * _UNIT  # dyadic, so differences of the drawn coordinates are exact
+
+
+@st.composite
+def _points(draw):
+    """Points in two clumps a few _TOL wide: chains, exact duplicates, pairs _TOL apart."""
+    dims = draw(st.sampled_from([2, 3]))
+    point = st.tuples(st.sampled_from([0.0, 0.5]), st.lists(st.integers(0, 10), min_size=dims,
+                                                             max_size=dims), st.integers(1, 3))
+    rows = draw(st.lists(point, max_size=14))
+    rows += draw(st.sampled_from([[], rows[:2]]))  # exact duplicates
+    out = []
+    for base, ks, mult in rows:
+        coords = [base + k * _UNIT for k in ks] + [None] * (3 - dims)
+        out.append(qbs.SpectralPoint(*coords, mult))
+    return out
+
+
+def _single_linkage(points, tol):
+    """Reference merge: pairwise Chebyshev links, then a search for connected points."""
+    coords = [p.coords() for p in points]
+    seen = [False] * len(points)
+    out = []
+    for start in range(len(points)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        cluster, stack = [start], [start]
+        while stack:
+            i = stack.pop()
+            for j in range(len(points)):
+                if not seen[j] and max(abs(a - b) for a, b in zip(coords[i], coords[j])) <= tol:
+                    seen[j] = True
+                    cluster.append(j)
+                    stack.append(j)
+        out.append((min(coords[i] for i in cluster), sum(points[i].mult for i in cluster)))
+    return sorted(out)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_points())
+def test_merge_is_single_linkage_keeping_the_lexicographic_minimum(points):
+    sigma = qbs.JointSpectrum(tuple(points), _TOL)
+    assert [(p.coords(), p.mult) for p in sigma.points] == _single_linkage(points, _TOL)
+    assert sigma.s.tolist() == [p.s for p in sigma.points]
+    assert sigma.t.tolist() == [p.t for p in sigma.points]
+    assert sigma.mult.tolist() == [p.mult for p in sigma.points]
+    assert (sigma.r is None) == (not points or points[0].r is None)
+    if sigma.r is not None:
+        assert sigma.r.tolist() == [p.r for p in sigma.points]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_merge_does_not_depend_on_input_order(data):
+    points = data.draw(_points())
+    shuffled = data.draw(st.permutations(points))
+    want = qbs.JointSpectrum(tuple(points), _TOL).points
+    assert qbs.JointSpectrum(tuple(shuffled), _TOL).points == want
+
+
+_edges = st.integers(1, 30).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                  max_size=20), max_size=6)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(_edges)
+def test_join_maps_each_row_to_the_smallest_row_of_its_cluster(case):
+    n, batches = case
+    root = np.arange(n)
+    label = list(range(n))  # reference: the smallest row of each cluster
+    for batch in batches:
+        a = np.array([i for i, _ in batch], dtype=np.intp)
+        b = np.array([j for _, j in batch], dtype=np.intp)
+        root = jointspec._join(root, a, b)
+        for i, j in batch:
+            old, new = max(label[i], label[j]), min(label[i], label[j])
+            label = [new if k == old else k for k in label]
+        assert root.tolist() == label
+
+
+def test_merged_verdict_does_not_depend_on_input_order():
+    first, second = (1.0, 0.0), (1.000000002, 1e-8)
+    for pts in ((first, second), (second, first)):
+        sigma = qbs.JointSpectrum(pts)
+        assert [(p.s, p.t, p.mult) for p in sigma.points] == [(1.0, 0.0, 2)]
+        assert qbs.classify(sigma, qbs.SUBNORMAL).verdict
+
+
+def test_a_chain_merges_into_one_point_in_every_order():
+    chain = ((0.5, 0.3), (0.5 + 0.6e-8, 0.3), (0.5 + 1.2e-8, 0.3))
+    for order in itertools.permutations(chain):
+        sigma = qbs.JointSpectrum(order)
+        assert [(p.s, p.t, p.mult) for p in sigma.points] == [(0.5, 0.3, 3)]
+
+
+@pytest.mark.parametrize("shape", ["identical", "one s", "random"])
+def test_construction_of_4000_points_is_not_quadratic(shape):
+    # an O(n^2) merge in pure Python takes 10-15 s on each shape; 2 s leaves room for a slow host
+    rng = np.random.default_rng(11)
+    n = 4000
+    if shape == "identical":
+        pts = [(0.5, 0.25)] * n
+    elif shape == "one s":
+        pts = [(0.5, t) for t in rng.uniform(0.0, 1.0, n).tolist()]
+    else:
+        pts = [tuple(p) for p in rng.uniform(0.0, 1.0, (n, 2)).tolist()]
+    start = time.perf_counter()
+    sigma = qbs.JointSpectrum(tuple(pts))
+    assert time.perf_counter() - start < 2.0
+    assert sum(p.mult for p in sigma.points) == n

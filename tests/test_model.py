@@ -141,17 +141,23 @@ def _random_pair_of_embeddings(rng, levels, width, d):
 
 
 def _assert_residuals_match_dense_v(emb):
+    """Residuals against the dense V, thresholds against SVD norms (rel 1e-12)."""
     v = emb.v_matrix()
     interior = emb.levels * emb.width
     dense = {
         "v_isometry": opnorm((adjoint(v) @ v)[:interior, :interior] - np.eye(interior)),
         "ve_orthogonal": opnorm(adjoint(v) @ emb.E),
     }
+    eps, ne, nq = qbs.DEFAULT_EPS, opnorm(emb.E), opnorm(emb.Q)
+    thresholds = {"v_isometry": eps, "ve_orthogonal": eps * (1.0 + ne),
+                  "q_gram_commute": eps * (1.0 + nq * ne * ne)}
     report = qbs.validate_class_q(emb)
     for name, want in dense.items():
         check = report.check(name)
         assert abs(check.residual - want) <= max(1e-15, 1e-12 * want), name
-        assert check.passed == (want <= check.threshold), name
+        assert check.passed == (want <= thresholds[name]), name
+    for name, want in thresholds.items():
+        assert report.check(name).threshold == pytest.approx(want, rel=1e-12, abs=0.0), name
 
 
 def test_row_shift_route_matches_dense_v():
