@@ -17,11 +17,15 @@ Tolerance resolution, most specific wins: ``--eps`` flag, then the model
 file's ``eps`` field, then the ``QBS_EPS`` environment variable, then the
 library default.  A resolved tolerance that is NaN, infinite or negative is
 an error (exit 2).
+
+Every subcommand prints one compact JSON line on stdout, as the C JSON encoder
+writes it.  The argparse parser is built once per process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -37,6 +41,7 @@ from .model import AtomModel, PairModel, ShiftEmbedding, atom_spectra, build_fro
 from .moments import point_subnormality_oracle, stieltjes_oracle
 
 _ENV_EPS = "QBS_EPS"
+MAX_GRID_ALPHAS = 10 ** 6  # the most alphas one --grid scan may hold
 
 
 def _resolve_eps(flag_eps, file_eps) -> float:
@@ -86,7 +91,7 @@ def _parse_points(text: str) -> list[tuple[float, float, int]]:
 
 
 def _emit(doc: dict) -> None:
-    print(json.dumps(doc, indent=2))
+    print(json.dumps(doc))
 
 
 def _cmd_classify(args) -> int:
@@ -98,7 +103,7 @@ def _cmd_classify(args) -> int:
         report = regions.classify_brownian(model, eps)
         doc = {"quasi_brownian": report.quasi_brownian,
                "brownian": report.brownian,
-               "violators": [model_io.point_to_json(p) for p in report.violators]}
+               "violators": model_io.points_to_json(report.violators)}
         try:
             dec = regions.brownian_decomposition(model, eps)
         except NotQuasiBrownian:
@@ -120,8 +125,10 @@ def _cmd_classify(args) -> int:
     doc = {"region": region.token,
            "alias": region.alias,
            "verdict": report.verdict,
-           "points": [dict(model_io.point_to_json(p), status=st) for p, st in report.per_point],
-           "violators": [model_io.point_to_json(p) for p in report.violators]}
+           "points": model_io.points_to_json(p for p, _ in report.per_point),
+           "violators": model_io.points_to_json(report.violators)}
+    for point, (_, status) in zip(doc["points"], report.per_point):
+        point["status"] = status
     _emit(doc)
     return 0 if report.verdict else 1
 
@@ -168,15 +175,12 @@ def _parse_grid(text: str) -> list[float]:
         raise QbsError(f"grid {text!r} is not finite")
     if step <= 0 or stop < start:
         raise QbsError("grid needs step > 0 and stop >= start")
-    alphas = []
-    i = 0
-    while True:
-        a = start + i * step
-        if a > stop + 1e-9 * step:
-            break
-        alphas.append(a)
-        i += 1
-    return alphas
+    # every start + i * step <= stop + 1e-9 * step: i <= last, plus one spare i for rounding
+    last = (stop - start) / step + 1e-9
+    if not last < MAX_GRID_ALPHAS:
+        raise QbsError(f"grid {text!r} holds more than {MAX_GRID_ALPHAS} alphas")
+    alphas = (start + i * step for i in range(math.floor(last) + 2))
+    return [a for a in alphas if a <= stop + 1e-9 * step]
 
 
 def _cmd_pencil(args) -> int:
@@ -243,6 +247,7 @@ def _cmd_plot(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qbs",
                                      description="Brownian-type block operators: "
@@ -281,7 +286,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pencil", help="subnormality interval of the E- or Q-pencil")
     p.add_argument("model", help="pair or embedding model JSON file")
     p.add_argument("--which", required=True, choices=["e", "q"], help="scaled entry")
-    p.add_argument("--grid", default=None, help="scan grid START:STOP:STEP")
+    p.add_argument("--grid", default=None,
+                   help=f"scan grid START:STOP:STEP, at most {MAX_GRID_ALPHAS} alphas")
     p.add_argument("--out", default=None, help="scan CSV path (with --grid)")
     add_eps(p)
     p.set_defaults(func=_cmd_pencil)
@@ -296,7 +302,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plot", help="render regions and a spectrum to SVG")
     p.add_argument("--region", action="append", default=None, help="region token (repeatable)")
     p.add_argument("--spectrum", default=None, help="spectrum CSV file")
-    p.add_argument("--extent", type=float, default=None, help="window size (world units)")
+    p.add_argument("--extent", type=float, default=None,
+                   help="window size (world units), finite and > 0")
     p.add_argument("--out", required=True, help="output SVG path")
     p.set_defaults(func=_cmd_plot)
 

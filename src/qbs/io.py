@@ -10,24 +10,30 @@ One document describes exactly one model:
 
 Scalars may be numbers or decimal strings and must be finite; complex
 entries are ``[re, im]`` pairs.  The counts ``levels``, ``width`` and ``mult``
-are JSON integers >= 1.  Writers emit decimal strings with 17 significant
-digits so a file round-trips the in-memory values exactly.  An optional top-level ``eps``
-records the tolerance the model was prepared with; it must not be negative.
+are JSON integers >= 1.  Writers emit one compact JSON line (the C encoder)
+whose numbers are 17-significant-digit decimal strings, so a file round-trips
+the in-memory values exactly.  Arrays are read in one C-level pass; only a
+rejected one is walked entry by entry, to name the bad entry.  An optional
+top-level ``eps`` records the tolerance the model was prepared with; it must
+not be negative.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
 from .errors import ModelFormatError
-from .jointspec import SpectralPoint, format_float
+from .jointspec import SpectralPoint, format_float, format_floats
 from .model import AtomKind, AtomModel, PairModel, QAtom, ShiftEmbedding
 
 _MODEL_TYPES = ("pair", "atoms", "embedding")
+_SCALAR_TYPES = {int, float, str}  # exact types, so bool (an int subclass) is no number
 
 
 def _real(value, where: str) -> float:
@@ -60,31 +66,58 @@ def _complex(value, where: str) -> complex:
     return complex(_real(value, where))
 
 
+def _floats(values: list) -> np.ndarray | None:
+    """``float()`` of every entry in one pass, or None if :func:`_real` rejects one."""
+    if not set(map(type, values)) <= _SCALAR_TYPES:
+        return None
+    try:
+        x = np.fromiter(map(float, values), dtype=float, count=len(values))
+    except (ValueError, OverflowError):
+        return None
+    return x if np.isfinite(x).all() else None
+
+
+def _reals(values, where: str) -> list[float]:
+    """A list of real scalars; the entry walk only runs to name a bad entry."""
+    values = list(values)
+    x = _floats(values)
+    return [_real(v, f"{where}[{i}]") for i, v in enumerate(values)] if x is None else x.tolist()
+
+
 def _matrix(rows, where: str) -> np.ndarray:
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise ModelFormatError(f"{where}: expected a list of rows")
     width = len(rows[0])
     if width == 0 or any(len(r) != width for r in rows):
         raise ModelFormatError(f"{where}: rows must be nonempty and of equal length")
-    return np.array([[_complex(v, f"{where}[{i}][{j}]") for j, v in enumerate(row)]
-                     for i, row in enumerate(rows)], dtype=complex)
-
-
-def _complex_json(z: complex) -> list[str]:
-    return [format_float(z.real), format_float(z.imag)]
+    # complex entries are [re, im] pairs; a bare scalar is the pair (value, 0)
+    pairs = [v if type(v) is list else (v, 0) for v in chain.from_iterable(rows)]
+    x = _floats(list(chain.from_iterable(pairs))) if set(map(len, pairs)) == {2} else None
+    if x is None:
+        return np.array([[_complex(v, f"{where}[{i}][{j}]") for j, v in enumerate(row)]
+                         for i, row in enumerate(rows)], dtype=complex)
+    return x.view(complex).reshape(len(rows), width)
 
 
 def _matrix_json(a: np.ndarray) -> list[list[list[str]]]:
-    return [[_complex_json(complex(v)) for v in row] for row in np.asarray(a, dtype=complex)]
+    a = np.ascontiguousarray(a, dtype=complex)
+    parts = iter(format_floats(a.view(float)))  # re, im, re, im, ...
+    pairs = list(map(list, zip(parts, parts)))
+    width = a.shape[1]
+    return [pairs[i * width:(i + 1) * width] for i in range(a.shape[0])]
 
 
-def point_to_json(p: SpectralPoint) -> dict:
-    doc = {"s": format_float(p.s), "t": format_float(p.t)}
-    if p.r is not None:
-        doc["r"] = format_float(p.r)
-    if p.mult != 1:
-        doc["mult"] = p.mult
-    return doc
+def points_to_json(points: Iterable[SpectralPoint]) -> list[dict]:
+    """JSON objects of spectral points: ``s``, ``t``, ``r`` if present, ``mult`` if not 1."""
+    points = tuple(points)
+    docs = [{"s": s, "t": t} for s, t in zip(format_floats([p.s for p in points]),
+                                             format_floats([p.t for p in points]))]
+    for doc, p in zip(docs, points):
+        if p.r is not None:
+            doc["r"] = format_float(p.r)
+        if p.mult != 1:
+            doc["mult"] = p.mult
+    return docs
 
 
 def atom_to_json(at: QAtom) -> dict:
@@ -110,9 +143,8 @@ def model_from_json(doc, where: str = "model"):
         if has_diag:
             if "a" not in doc or "b" not in doc:
                 raise ModelFormatError(f"{where}: diagonal pair needs both 'a' and 'b'")
-            a = [_real(v, f"{where}.a[{i}]") for i, v in enumerate(doc["a"])]
-            b = [_real(v, f"{where}.b[{i}]") for i, v in enumerate(doc["b"])]
-            return PairModel.from_diagonal(a, b), eps
+            return (PairModel.from_diagonal(_reals(doc["a"], f"{where}.a"),
+                                            _reals(doc["b"], f"{where}.b")), eps)
         if "A" not in doc or "B" not in doc:
             raise ModelFormatError(f"{where}: matrix pair needs both 'A' and 'B'")
         return (PairModel.from_matrices(_matrix(doc["A"], f"{where}.A"),
@@ -147,16 +179,14 @@ def model_from_json(doc, where: str = "model"):
 def model_to_json(model, eps: float | None = None) -> dict:
     if isinstance(model, PairModel):
         if model.is_diagonal:
-            doc = {"type": "pair",
-                   "a": [format_float(x) for x in model.a],
-                   "b": [format_float(x) for x in model.b]}
+            doc = {"type": "pair", "a": format_floats(model.a), "b": format_floats(model.b)}
         else:
             doc = {"type": "pair", "A": _matrix_json(model.A), "B": _matrix_json(model.B)}
     elif isinstance(model, AtomModel):
         doc = {"type": "atoms", "atoms": [atom_to_json(at) for at in model.atoms]}
     elif isinstance(model, ShiftEmbedding):
         doc = {"type": "embedding", "levels": model.levels, "width": model.width,
-               "v_scale": _complex_json(model.v_scale),
+               "v_scale": format_floats([model.v_scale.real, model.v_scale.imag]),
                "E": _matrix_json(model.E), "Q": _matrix_json(model.Q)}
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
@@ -180,4 +210,5 @@ def load_model(path):
 
 
 def save_model(model, path, eps: float | None = None) -> None:
-    Path(path).write_text(json.dumps(model_to_json(model, eps), indent=2) + "\n")
+    """Write ``model`` as one compact JSON line (the C encoder; no indentation)."""
+    Path(path).write_text(json.dumps(model_to_json(model, eps)) + "\n")

@@ -8,8 +8,10 @@ of the inputs, so identical calls produce byte-identical files.
 from __future__ import annotations
 
 import math
+from itertools import count
 from typing import Iterable, Sequence
 
+from .errors import QbsError
 from .jointspec import JointSpectrum, SpectralPoint
 from .regions import DISK, OFF_DISK, S_GE_1, S_LE_1, RegionId, region_terms
 
@@ -28,6 +30,8 @@ def _fmt(v: float) -> str:
 
 class _Frame:
     def __init__(self, extent: float):
+        if not (math.isfinite(extent) and extent > 0.0):
+            raise QbsError(f"extent = {extent!r} is not a finite positive window size")
         self.extent = extent
         self.span = SIZE - 2 * PAD
 
@@ -93,11 +97,17 @@ def _region_layers(region: RegionId, f: _Frame, color: str) -> list[str]:
     return layers + [strokes[p.frontier] for term in terms for p in term]
 
 
+def _ticks(extent: float) -> range:
+    """At most 11 integer ticks on [0, extent]: step 1 up to extent 10, then 2, 5, 10, 20, ..."""
+    top = math.floor(extent + 1e-9)
+    step = next(m * 10 ** k for k in count() for m in (1, 2, 5) if top <= 10 * m * 10 ** k)
+    return range(0, top + 1, step)
+
+
 def _axes(f: _Frame) -> list[str]:
     parts = [f'<rect x="{PAD}" y="{PAD}" width="{f.span}" height="{f.span}" '
              f'fill="none" stroke="{_AXIS_COLOR}" stroke-width="1"/>']
-    tick = 0
-    while tick <= f.extent + 1e-9:
+    for tick in _ticks(f.extent):
         px, py = f.x(tick), f.y(tick)
         parts.append(f'<line x1="{_fmt(px)}" y1="{SIZE - PAD}" x2="{_fmt(px)}" '
                      f'y2="{SIZE - PAD + 6}" stroke="{_AXIS_COLOR}" stroke-width="1"/>')
@@ -107,7 +117,6 @@ def _axes(f: _Frame) -> list[str]:
                      f'text-anchor="middle" fill="{_AXIS_COLOR}">{tick}</text>')
         parts.append(f'<text x="{PAD - 10}" y="{_fmt(py + 4)}" font-size="12" '
                      f'text-anchor="end" fill="{_AXIS_COLOR}">{tick}</text>')
-        tick += 1
     parts.append(f'<text x="{SIZE - PAD + 14}" y="{SIZE - PAD + 4}" font-size="14" '
                  f'font-style="italic" fill="{_AXIS_COLOR}">s</text>')
     parts.append(f'<text x="{PAD - 4}" y="{PAD - 14}" font-size="14" '
@@ -136,7 +145,9 @@ def pick_extent(points: Sequence[SpectralPoint]) -> float:
         top = max(top, p.s, p.t)
     if top <= 0:
         return 2.0
-    return max(2.0, math.ceil(1.15 * top / 0.5) * 0.5)
+    scaled = 1.15 * top / 0.5
+    # near the largest double the margin overflows; the window then ends at the point
+    return top if math.isinf(scaled) else max(2.0, math.ceil(scaled) * 0.5)
 
 
 def render_svg(regions: Iterable[RegionId] = (), points=None,

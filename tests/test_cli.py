@@ -3,10 +3,14 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qbs
+from qbs import cli
 from qbs import io as model_io
 from qbs.cli import main
+from qbs.errors import QbsError
 
 
 def run(capsys, *argv):
@@ -194,6 +198,35 @@ def test_pencil_grid_must_be_finite(tmp_path, capsys, grid):
     assert code == 2 and "finite" in err
 
 
+def test_pencil_grid_size_is_capped(tmp_path, capsys):
+    model = write_pair(tmp_path, [0.6], [0.8])
+    out = tmp_path / "scan.csv"
+    code, text, err = run(capsys, "pencil", model, "--which", "e", "--grid", "0:1.5:1e-6",
+                          "--out", str(out))
+    assert (code, text) == (2, "") and "alphas" in err and not out.exists()
+    assert len(cli._parse_grid("0:999999:1")) == cli.MAX_GRID_ALPHAS
+    with pytest.raises(QbsError, match="alphas"):
+        cli._parse_grid("0:1000000:1")
+
+
+def _loop_grid(start, stop, step):
+    """The grid as a step-by-step loop builds it: start + i * step up to stop."""
+    alphas, i = [], 0
+    while start + i * step <= stop + 1e-9 * step:
+        alphas.append(start + i * step)
+        i += 1
+    return alphas
+
+
+@settings(max_examples=300, deadline=None)
+@given(start=st.floats(0.0, 1e9), step=st.floats(1e-3, 2.0), steps=st.floats(0.0, 2000.0),
+       snap=st.booleans())
+def test_grid_alphas_are_start_plus_i_step(start, step, steps, snap):
+    stop = start + (round(steps) if snap else steps) * step
+    text = f"{start!r}:{stop!r}:{step!r}"
+    assert cli._parse_grid(text) == _loop_grid(start, stop, step)
+
+
 def test_pencil_which_is_validated(tmp_path, capsys):
     model = write_pair(tmp_path, [0.6], [0.8])
     code, _, _ = run(capsys, "pencil", model, "--which", "z")
@@ -232,6 +265,14 @@ def test_oracle_needs_exactly_one_input(capsys):
 
 
 # -- plot -------------------------------------------------------------------
+
+@pytest.mark.parametrize("extent", ["0", "nan", "-1"])
+def test_plot_extent_must_be_finite_and_positive(tmp_path, capsys, extent):
+    out = tmp_path / "p.svg"
+    code, text, err = run(capsys, "plot", "--region", "subnormal", "--extent", extent,
+                          "--out", str(out))
+    assert (code, text) == (2, "") and "extent" in err and not out.exists()
+
 
 def test_plot_is_deterministic(tmp_path, capsys):
     first, second = tmp_path / "a.svg", tmp_path / "b.svg"
@@ -319,7 +360,57 @@ def test_dual_rejects_a_negative_file_eps(tmp_path, capsys):
     assert not out_path.exists()
 
 
+# -- one JSON line per call ---------------------------------------------------
+
+def test_stdout_is_one_line_holding_the_documented_document(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    model_io.save_model(qbs.PairModel.from_diagonal([0.6, 1.2], [0.8, 0.3]), "m.json")
+    model_io.save_model(qbs.PairModel.from_diagonal([1.2, 1.0], [0.9, 0.4]), "d.json")
+    expected = [
+        (("classify", "m.json", "--region", "subnormal"),
+         {"region": "subnormal", "alias": None, "verdict": False,
+          "points": [{"s": "0.59999999999999998", "t": "0.80000000000000004", "status": "inside"},
+                     {"s": "1.2", "t": "0.29999999999999999", "status": "outside"}],
+          "violators": [{"s": "1.2", "t": "0.29999999999999999"}]}),
+        (("dual", "d.json", "--out", "dual.json"),
+         {"out": "dual.json", "spectrum_csv": "dual.csv", "norm": "1",
+          "radius": "0.9284766908852593"}),
+        (("pencil", "m.json", "--which", "e", "--grid", "0.5:2:0.5", "--out", "scan.csv"),
+         {"which": "e", "kind": "degenerate-zero", "beta": None, "scan_csv": "scan.csv"}),
+    ]
+    for argv, doc in expected:
+        _, out, _ = run(capsys, *argv)
+        assert out.endswith("\n") and out.count("\n") == 1, argv
+        assert json.loads(out) == doc
+    for name in ("m.json", "d.json", "dual.json"):
+        assert (tmp_path / name).read_text().count("\n") == 1
+
+
 # -- argparse plumbing --------------------------------------------------------
+
+def test_one_parser_serves_every_call_without_leaking_values(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("QBS_EPS", raising=False)
+    assert cli._build_parser() is cli._build_parser()
+    model = write_pair(tmp_path, *NEAR)
+    assert run(capsys, "classify", model, "--region", "subnormal", "--eps", "1e-3")[0] == 0
+    assert run(capsys, "classify", model, "--region", "subnormal")[0] == 1  # default eps again
+    code, out, _ = run(capsys, "pencil", model, "--which", "e", "--grid", "0:1:0.5",
+                       "--out", str(tmp_path / "scan.csv"))
+    assert code == 0 and "scan_csv" in json.loads(out)
+    code, out, _ = run(capsys, "pencil", model, "--which", "q")
+    assert code == 0 and "scan_csv" not in json.loads(out)
+    svg = str(tmp_path / "p.svg")
+    assert json.loads(run(capsys, "plot", "--region", "subnormal", "--region", "che",
+                          "--out", svg)[1])["regions"] == ["subnormal", "m-expansive:2"]
+    assert json.loads(run(capsys, "plot", "--out", svg)[1])["regions"] == []
+    assert run(capsys, "oracle", "--point", "1.2,0.3")[0] == 1
+    code, out, _ = run(capsys, "oracle", "--sequence", "1,1,1,1", "--hankel-order", "1")
+    assert code == 0 and json.loads(out)["order"] == 1
+    code, out, _ = run(capsys, "oracle", "--sequence", "1,1,1,1,1,1,1,1")
+    assert code == 0 and json.loads(out)["order"] == 3  # the default order again
+    assert run(capsys, "realize", "--points", "1,0")[0] == 2
+
+
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0

@@ -1,9 +1,14 @@
 """JSON model files: serialization, parsing, and error reporting."""
 
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qbs
 from qbs import io as model_io
@@ -51,6 +56,75 @@ def test_atom_model_round_trip(tmp_path):
     model_io.save_model(m, path)
     back, _ = model_io.load_model(path)
     assert back.atoms == m.atoms
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+COORD = st.floats(min_value=0.0, max_value=1e300, allow_nan=False)
+
+
+def _commuting_pair(data) -> qbs.PairModel:
+    n = data.draw(st.integers(1, 4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    a, b = (u @ np.diag(data.draw(st.lists(COORD.map(lambda x: x % 5.0), min_size=n, max_size=n)))
+            @ u.conj().T for _ in range(2))
+    return qbs.PairModel.from_matrices(a, b, eps=1e-6)
+
+
+def _model(data):
+    kind = data.draw(st.sampled_from(["diagonal", "matrix", "atoms", "embedding"]))
+    if kind == "diagonal":
+        n = data.draw(st.integers(1, 6))
+        return qbs.PairModel.from_diagonal(*(data.draw(st.lists(COORD, min_size=n, max_size=n))
+                                             for _ in range(2)))
+    if kind == "matrix":
+        return _commuting_pair(data)
+    if kind == "atoms":
+        atom = st.builds(qbs.QAtom, st.sampled_from(qbs.AtomKind), COORD, COORD, st.integers(1, 9))
+        return qbs.AtomModel(tuple(data.draw(st.lists(atom, min_size=1, max_size=5))))
+    levels, width, d = (data.draw(st.integers(1, 3)) for _ in range(3))
+
+    def block(rows, cols):
+        parts = data.draw(st.lists(FINITE, min_size=2 * rows * cols, max_size=2 * rows * cols))
+        return np.array(parts).view(complex).reshape(rows, cols)
+
+    return qbs.ShiftEmbedding(levels, width, block((levels + 1) * width, d), block(d, d),
+                              complex(*data.draw(st.tuples(FINITE, FINITE))))
+
+
+def _bits(model):
+    """Every stored number of a model, as exact bit patterns."""
+    if isinstance(model, qbs.AtomModel):
+        return [(at.kind, np.float64(at.s).tobytes(), np.float64(at.t).tobytes(), at.mult)
+                for at in model.atoms]
+    if isinstance(model, qbs.ShiftEmbedding):
+        return [model.levels, model.width, model.E.tobytes(), model.Q.tobytes(),
+                np.complex128(model.v_scale).tobytes()]
+    if model.is_diagonal:
+        return [np.array(model.a).tobytes(), np.array(model.b).tobytes()]
+    return [np.asarray(model.A, dtype=complex).tobytes(), np.asarray(model.B, dtype=complex).tobytes()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), eps=st.one_of(st.none(), COORD))
+def test_save_load_round_trip_is_bit_exact_and_one_line(data, eps):
+    model = _model(data)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        model_io.save_model(model, path, eps=eps)
+        text = path.read_text()
+        back, back_eps = model_io.load_model(path)
+    assert text.endswith("\n") and text.count("\n") == 1
+    assert type(back) is type(model) and _bits(back) == _bits(model)
+    assert back_eps is None if eps is None else np.float64(back_eps).tobytes() == np.float64(eps).tobytes()
+
+
+def test_matrix_mixing_pairs_and_scalars_is_accepted():
+    doc = {"type": "embedding", "levels": 1, "width": 1, "v_scale": 1,
+           "E": [[["0.5", "-0.25"], 2], ["0.125", [0, 1]]], "Q": [[1, 0], [[0, 0], "0.5"]]}
+    emb, _ = model_io.model_from_json(doc)
+    assert emb.E.tolist() == [[0.5 - 0.25j, 2], [0.125, 1j]]
+    assert emb.Q.tolist() == [[1, 0], [0, 0.5]]
 
 
 def test_reader_accepts_numbers_and_decimal_strings():
@@ -112,6 +186,19 @@ def test_format_errors_are_specific():
         ("width", dict(emb, width=-1)),
     ):
         with pytest.raises(ModelFormatError, match=field):
+            model_io.model_from_json(doc)
+    for message, doc in (
+        ("model.E[1][0]: expected a number, got a boolean", dict(emb, E=[[1], [True]])),
+        ("model.E[1][0]: expected a number, got a boolean", dict(emb, E=[[1], [[0, False]]])),
+        ("model.Q[0][0]: 'nan' is not a finite number", dict(emb, Q=[["nan"]])),
+        ("model.Q[0][0]: 'nan' is not a finite number", dict(emb, Q=[[[0.5, "nan"]]])),
+        (f"model.a[1]: {10 ** 400!r} is not a finite number",
+         {"type": "pair", "a": [0.5, 10 ** 400], "b": [0.5, 0.5]}),
+        ("model.A: rows must be nonempty and of equal length",
+         {"type": "pair", "A": [[1, 0], [0]], "B": [[1, 0], [0, 1]]}),
+        ("model.E[0][0]: a complex entry is a [re, im] pair", dict(emb, E=[[[1, 2, 3]], [0]])),
+    ):
+        with pytest.raises(ModelFormatError, match=f"^{re.escape(message)}$"):
             model_io.model_from_json(doc)
     model_io.model_from_json(emb)  # the base documents are valid
     model_io.model_from_json({"type": "atoms", "atoms": [dict(atom, mult=2)]})

@@ -93,3 +93,28 @@ def test_coordinates_are_fixed_precision():
         value = chunk.split('"', 1)[0]
         whole, dot, frac = value.partition(".")
         assert dot == "." and len(frac) == 4, value
+
+
+def test_ticks_stay_few_however_large_the_window():
+    # the tick helper runs first: an unbounded tick loop must never be reached here
+    assert list(plots._ticks(0.5)) == [0]
+    assert list(plots._ticks(2.5)) == [0, 1, 2]
+    assert list(plots._ticks(10.0)) == list(range(11))
+    assert list(plots._ticks(10.5)) == list(range(11))
+    assert list(plots._ticks(11.0)) == list(range(0, 11, 2))
+    assert list(plots._ticks(99.0)) == list(range(0, 91, 10))
+    for extent in (11.0, 37.5, 1e6, 1e300, 1.7976931348623157e308):
+        ticks = plots._ticks(extent)
+        assert 6 <= len(ticks) <= 11 and ticks[-1] <= extent
+    for s in (1e300, 1.7e308):  # far points pick a huge but finite window
+        extent = plots.pick_extent(qbs.JointSpectrum([(s, 0.5)]))
+        assert math.isfinite(extent) and extent >= s
+        svg = plots.render_svg([qbs.SUBNORMAL], [(s, 0.5)])
+        assert 6 <= svg.count('text-anchor="end"') <= 11
+
+
+@pytest.mark.parametrize("extent", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_extent_must_be_finite_and_positive(extent):
+    assert len(plots._ticks(1e300)) <= 11
+    with pytest.raises(qbs.QbsError, match="extent"):
+        plots.render_svg([qbs.SUBNORMAL], extent=extent)
