@@ -37,11 +37,14 @@ from . import io as model_io
 from . import jointspec, pencils, regions
 from .errors import NotQuasiBrownian, QbsError
 from .linalg import DEFAULT_EPS
-from .model import AtomModel, PairModel, ShiftEmbedding, atom_spectra, build_from_pair, operator_norm, realize_spectrum
+from .model import (AtomModel, PairModel, ShiftEmbedding, atom_spectra, build_from_pair,
+                    operator_norm, realize_spectrum, spectrum_norm)
 from .moments import point_subnormality_oracle, stieltjes_oracle
 
 _ENV_EPS = "QBS_EPS"
 MAX_GRID_ALPHAS = 10 ** 6  # the most alphas one --grid scan may hold
+MAX_LEVELS = 1000  # the deepest --levels an embedding may be built with
+MAX_HANKEL_ORDER = 100  # the largest --hankel-order the oracle runs
 
 
 def _resolve_eps(flag_eps, file_eps) -> float:
@@ -90,6 +93,13 @@ def _parse_points(text: str) -> list[tuple[float, float, int]]:
     return points
 
 
+def _bounded(value: int, flag: str, low: int, high: int) -> int:
+    # checked before anything is allocated: the cost grows with the value
+    if not low <= value <= high:
+        raise QbsError(f"{flag} {value} is outside {low}..{high}")
+    return value
+
+
 def _emit(doc: dict) -> None:
     print(json.dumps(doc))
 
@@ -135,7 +145,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_realize(args) -> int:
     points = [(s, t) for s, t, mult in _parse_points(args.points) for _ in range(mult)]
-    emb = realize_spectrum(points, levels=args.levels)
+    emb = realize_spectrum(points, levels=_bounded(args.levels, "--levels", 1, MAX_LEVELS))
     eps = _resolve_eps(args.eps, None)
     model_io.save_model(emb, args.out, eps=args.eps)
     _emit({"out": str(args.out), "levels": emb.levels, "width": emb.width,
@@ -147,7 +157,8 @@ def _cmd_dual(args) -> int:
     model, file_eps = model_io.load_model(args.model)
     eps = _resolve_eps(args.eps, file_eps)
     if isinstance(model, PairModel):
-        emb = build_from_pair(model, levels=args.levels, eps=eps)
+        levels = _bounded(args.levels, "--levels", 1, MAX_LEVELS)
+        emb = build_from_pair(model, levels=levels, eps=eps)
     elif isinstance(model, ShiftEmbedding):
         emb = model
     else:
@@ -158,7 +169,7 @@ def _cmd_dual(args) -> int:
     csv_path = Path(args.out).with_suffix(".csv")
     csv_path.write_text(jointspec.spectrum_to_csv(sigma))
     _emit({"out": str(args.out), "spectrum_csv": str(csv_path),
-           "norm": model_io.format_float(operator_norm(dual_emb, eps)),
+           "norm": model_io.format_float(spectrum_norm(sigma)),
            "radius": model_io.format_float(jointspec.radius(sigma))})
     return 0
 
@@ -209,18 +220,19 @@ def _cmd_oracle(args) -> int:
     eps = _resolve_eps(args.eps, None)
     if (args.point is None) == (args.sequence is None):
         raise QbsError("oracle needs exactly one of --point or --sequence")
+    order = _bounded(args.hankel_order, "--hankel-order", 0, MAX_HANKEL_ORDER)
     if args.point is not None:
         pts = _parse_points(args.point)
         if len(pts) != 1:
             raise QbsError("--point takes a single 's,t'")
         s, t, _ = pts[0]
-        result = point_subnormality_oracle(s, t, hankel_order=args.hankel_order, eps=eps)
+        result = point_subnormality_oracle(s, t, hankel_order=order, eps=eps)
     else:
         try:
             gamma = [float(f) for f in args.sequence.split(",") if f.strip()]
         except ValueError:
             raise QbsError(f"cannot parse sequence {args.sequence!r}") from None
-        result = stieltjes_oracle(gamma, args.hankel_order, eps=eps)
+        result = stieltjes_oracle(gamma, order, eps=eps)
     doc = {"passed": result.passed, "order": result.order}
     if result.witness is not None:
         doc["witness"] = {"which": result.witness.which,
@@ -270,7 +282,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("realize", help="build an embedding whose spectrum is a given point set")
     p.add_argument("--points", required=True, help="semicolon-separated s,t[,mult] list")
-    p.add_argument("--levels", type=int, default=4, help="truncation depth (default 4)")
+    p.add_argument("--levels", type=int, default=4,
+                   help=f"truncation depth, 1 to {MAX_LEVELS} (default 4)")
     p.add_argument("--out", required=True, help="output model JSON path")
     add_eps(p)
     p.set_defaults(func=_cmd_realize)
@@ -279,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("model", help="pair or embedding model JSON file")
     p.add_argument("--out", required=True, help="output model JSON path")
     p.add_argument("--levels", type=int, default=4,
-                   help="truncation depth when the input is a pair (default 4)")
+                   help=f"truncation depth when the input is a pair, 1 to {MAX_LEVELS} (default 4)")
     add_eps(p)
     p.set_defaults(func=_cmd_dual)
 
@@ -295,7 +308,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="moment-based subnormality test")
     p.add_argument("--point", default=None, help="single 's,t'")
     p.add_argument("--sequence", default=None, help="comma-separated moments g0,g1,...")
-    p.add_argument("--hankel-order", type=int, default=3, help="Hankel order K (default 3)")
+    p.add_argument("--hankel-order", type=int, default=3,
+                   help=f"Hankel order K, 0 to {MAX_HANKEL_ORDER} (default 3)")
     add_eps(p)
     p.set_defaults(func=_cmd_oracle)
 

@@ -9,10 +9,11 @@ One document describes exactly one model:
   "E": [[...]], "Q": [[...]]}``
 
 Scalars may be numbers or decimal strings and must be finite; complex
-entries are ``[re, im]`` pairs.  The counts ``levels``, ``width`` and ``mult``
-are JSON integers >= 1.  Writers emit one compact JSON line (the C encoder)
-whose numbers are 17-significant-digit decimal strings, so a file round-trips
-the in-memory values exactly.  Arrays are read in one C-level pass; only a
+entries are ``[re, im]`` pairs.  The diagonals ``a`` and ``b`` are JSON
+arrays.  The counts ``levels``, ``width`` and ``mult`` are JSON integers
+>= 1.  Writers emit one compact JSON line (the C encoder) whose numbers are
+17-significant-digit decimal strings, so a file round-trips the in-memory
+values exactly.  Arrays are read in one C-level pass; only a
 rejected one is walked entry by entry, to name the bad entry.  An optional
 top-level ``eps`` records the tolerance the model was prepared with; it must
 not be negative.
@@ -78,8 +79,9 @@ def _floats(values: list) -> np.ndarray | None:
 
 
 def _reals(values, where: str) -> list[float]:
-    """A list of real scalars; the entry walk only runs to name a bad entry."""
-    values = list(values)
+    """A JSON array of real scalars; the entry walk only runs to name a bad entry."""
+    if not isinstance(values, list):
+        raise ModelFormatError(f"{where}: expected a list of numbers, got {type(values).__name__}")
     x = _floats(values)
     return [_real(v, f"{where}[{i}]") for i, v in enumerate(values)] if x is None else x.tolist()
 

@@ -233,22 +233,22 @@ def joint_spectrum(pair_or_embedding, dedup_tol: float = DEDUP_TOL,
     """Taylor spectrum of a commuting positive pair, as a finite point set.
 
     Diagonal models yield their coordinate pairs directly; matrix models go
-    through a joint diagonalization.  A shift embedding is accepted too and
-    contributes the spectrum of its modulus pair (|Q|, |E|).
+    through :func:`linalg.simultaneous_diagonalize`.  A shift embedding
+    contributes the spectrum of its modulus pair (|Q|, |E|), read from its
+    Gram pair (Q*Q, E*E) by :func:`linalg.modulus_pair_spectrum`.
     """
     from .model import PairModel, ShiftEmbedding
 
     obj = pair_or_embedding
     if isinstance(obj, ShiftEmbedding):
-        obj = obj.pair(eps)
-    if not isinstance(obj, PairModel):
-        raise TypeError(f"cannot read a commuting pair from {type(pair_or_embedding).__name__}")
-    if obj.is_diagonal:
-        pts = tuple(SpectralPoint(s, t) for s, t in zip(obj.a, obj.b))
+        s, t = linalg.modulus_pair_spectrum(obj.Q, obj.E, eps)
+    elif not isinstance(obj, PairModel):
+        raise TypeError(f"cannot read a commuting pair from {type(obj).__name__}")
+    elif obj.is_diagonal:
+        s, t = obj.a, obj.b
     else:
-        _, avals, bvals = linalg.simultaneous_diagonalize(obj.A, obj.B, eps)
-        pts = tuple(SpectralPoint(float(s), float(t)) for s, t in zip(avals, bvals))
-    return JointSpectrum(pts, dedup_tol)
+        _, s, t = linalg.simultaneous_diagonalize(obj.A, obj.B, eps)
+    return JointSpectrum(tuple(map(SpectralPoint, map(float, s), map(float, t))), dedup_tol)
 
 
 def spectral_map(sigma: JointSpectrum,

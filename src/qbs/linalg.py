@@ -1,8 +1,9 @@
-"""Dense Hermitian kernels: moduli, PSD tests, simultaneous diagonalization.
+"""Dense Hermitian kernels: moduli, PSD tests, joint diagonalization.
 
 Matrices are numpy arrays with complex entries.  Tolerances default to
-``DEFAULT_EPS`` and can be overridden per call; thresholds that depend on the
-data are scaled relative to the operator norms involved.
+``DEFAULT_EPS`` and can be overridden per call.  A test on one matrix allows
+``eps * (1 + |H|)``, a commutator test ``eps * (1 + |A||B|)``; the norms of
+Hermitian matrices are read off eigenvalues the test already has.
 """
 
 from __future__ import annotations
@@ -50,9 +51,33 @@ def _sym(a: np.ndarray) -> np.ndarray:
     return (a + adjoint(a)) / 2.0
 
 
+def _eig_norm(values: np.ndarray) -> float:
+    """Operator norm of a Hermitian matrix from its eigenvalues."""
+    return float(np.abs(values).max()) if len(values) else 0.0
+
+
 def hermitian_defect(m) -> float:
     a = as_matrix(m)
     return opnorm(a - adjoint(a))
+
+
+def _require_hermitian(a: np.ndarray, norm: float, eps: float, what: str) -> None:
+    if hermitian_defect(a) > eps * (1.0 + norm):
+        raise NonHermitianInput(f"{what} is not Hermitian within tolerance")
+
+
+def require_commuting(a: np.ndarray, b: np.ndarray, eps: float, norms=None) -> None:
+    """Raise :class:`CommutatorTooLarge` when ``|ab - ba| > eps * (1 + |a||b|)``.
+
+    ``norms`` are ``(|a|, |b|)`` if the caller has them, else they are computed.
+    """
+    if norms is None:
+        norms = [_eig_norm(np.linalg.eigvalsh(_sym(m))) for m in (a, b)]
+    na, nb = norms
+    if opnorm(a @ b - b @ a) > eps * (1.0 + na * nb):
+        raise CommutatorTooLarge(
+            f"commutator norm exceeds {eps:g} * (1 + |A||B|); the pair does not commute"
+        )
 
 
 def clamp_spectrum(values: np.ndarray, scale: float = 1.0) -> np.ndarray:
@@ -81,22 +106,20 @@ def hermitian_eig(h, eps: float = DEFAULT_EPS) -> HermitianEig:
     """Eigendecomposition of a Hermitian matrix.
 
     Raises :class:`NonHermitianInput` when the defect ``|H - H*|`` exceeds
-    ``eps * (1 + |H|)``.  The matrix is symmetrized before factoring so the
-    output is exactly Hermitian data.
+    ``eps * (1 + |H|)``, with ``|H|`` read off the eigenvalues.  The matrix
+    is symmetrized before factoring so the output is exactly Hermitian data.
     """
     a = as_matrix(h)
-    if hermitian_defect(a) > eps * (1.0 + opnorm(a)):
-        raise NonHermitianInput("matrix is not Hermitian within tolerance")
     w, u = np.linalg.eigh(_sym(a))
+    _require_hermitian(a, _eig_norm(w), eps, "matrix")
     return HermitianEig(w, u)
 
 
 def modulus(m, eps: float = DEFAULT_EPS) -> np.ndarray:
     """``|M| = (M*M)^(1/2)``, Hermitian PSD, for any rectangular ``M``."""
     a = as_matrix(m)
-    gram = adjoint(a) @ a
-    eig = hermitian_eig(gram, eps)
-    w = clamp_spectrum(eig.eigenvalues, scale=1.0 + opnorm(gram))
+    eig = hermitian_eig(adjoint(a) @ a, eps)
+    w = clamp_spectrum(eig.eigenvalues, scale=1.0 + _eig_norm(eig.eigenvalues))
     u = eig.eigenvectors
     return _sym((u * np.sqrt(w)) @ adjoint(u))
 
@@ -107,27 +130,39 @@ def min_eigenvalue(h) -> float:
 
 
 def is_psd(h, eps: float = DEFAULT_EPS) -> bool:
-    """True when the smallest eigenvalue is at least ``-eps``.
+    """True when the smallest eigenvalue is at least ``-eps * (1 + |H|)``.
 
-    The input must be Hermitian to within the same ``eps`` (absolute), else
-    :class:`NonHermitianInput` is raised.
+    The input must be Hermitian to within the same relative tolerance, else
+    :class:`NonHermitianInput` is raised.  ``|H|`` is read off the
+    eigenvalues.
     """
     a = as_matrix(h)
-    if hermitian_defect(a) > eps:
-        raise NonHermitianInput("PSD test needs a Hermitian matrix")
-    return min_eigenvalue(a) >= -eps
+    w = np.linalg.eigvalsh(_sym(a))
+    norm = _eig_norm(w)
+    _require_hermitian(a, norm, eps, "PSD test input")
+    return bool(w[0] >= -eps * (1.0 + norm))
 
 
-def _clusters(values: np.ndarray, gap: float) -> list[slice]:
-    # consecutive runs of an ascending sequence separated by more than `gap`
-    groups: list[slice] = []
-    start = 0
-    n = len(values)
-    for i in range(1, n + 1):
-        if i == n or values[i] - values[i - 1] > gap:
-            groups.append(slice(start, i))
-            start = i
-    return groups
+def _refine(u: np.ndarray, values: np.ndarray, b: np.ndarray,
+            gap: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rotate an eigenbasis ``u`` (ascending ``values``) to a joint eigenbasis with ``b``.
+
+    Consecutive values at most ``gap`` apart form a cluster, whose columns
+    are rotated to the eigenvectors ``v`` of the compression of ``b``.
+    Returns the basis, the values as Rayleigh quotients ``|v|^2 values`` and
+    the compressions' eigenvalues.
+    """
+    u = np.array(u, dtype=complex)
+    w = adjoint(u) @ b @ u
+    first = np.array(values, dtype=float)
+    second = np.real(np.diagonal(w)).copy()
+    cuts = np.flatnonzero(np.diff(first) > gap) + 1
+    for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, len(first)]):
+        if hi - lo > 1:
+            second[lo:hi], v = np.linalg.eigh(_sym(w[lo:hi, lo:hi]))
+            first[lo:hi] = (np.abs(v) ** 2).T @ first[lo:hi]
+            u[:, lo:hi] = u[:, lo:hi] @ v
+    return u, first, second
 
 
 def simultaneous_diagonalize(
@@ -143,27 +178,38 @@ def simultaneous_diagonalize(
     resolves the pair completely.
 
     Raises :class:`CommutatorTooLarge` when
-    ``|ab - ba| > eps * (1 + |a| * |b|)``.
+    ``|ab - ba| > eps * (1 + |a| * |b|)`` and :class:`NonHermitianInput` when
+    either matrix fails the Hermitian test; ``|b|`` is read off the
+    compressions' eigenvalues.
     """
     A = as_matrix(a)
     B = as_matrix(b)
     if A.shape != B.shape or A.shape[0] != A.shape[1]:
         raise ValueError("expected square matrices of equal shape")
-    scale = 1.0 + opnorm(A) * opnorm(B)
-    if opnorm(A @ B - B @ A) > eps * scale:
-        raise CommutatorTooLarge(
-            f"commutator norm exceeds {eps:g} * (1 + |A||B|); the pair does not commute"
-        )
-    if hermitian_defect(B) > eps * (1.0 + opnorm(B)):
-        raise NonHermitianInput("second matrix is not Hermitian within tolerance")
     eig_a = hermitian_eig(A, eps)
-    u = np.array(eig_a.eigenvectors, dtype=complex)
-    gap = 1e-8 * (1.0 + opnorm(A))
-    for block in _clusters(eig_a.eigenvalues, gap):
-        cols = u[:, block]
-        comp = _sym(adjoint(cols) @ B @ cols)
-        _, v = np.linalg.eigh(comp)
-        u[:, block] = cols @ v
-    avals = np.real(np.diagonal(adjoint(u) @ A @ u)).copy()
-    bvals = np.real(np.diagonal(adjoint(u) @ B @ u)).copy()
+    norm_a = _eig_norm(eig_a.eigenvalues)
+    u, avals, bvals = _refine(eig_a.eigenvectors, eig_a.eigenvalues, B, 1e-8 * (1.0 + norm_a))
+    norm_b = _eig_norm(bvals)
+    require_commuting(A, B, eps, (norm_a, norm_b))
+    _require_hermitian(B, norm_b, eps, "second matrix")
     return u, avals, bvals
+
+
+def modulus_pair_spectrum(q, e, eps: float = DEFAULT_EPS) -> tuple[np.ndarray, np.ndarray]:
+    """Joint spectrum ``(s, t)`` of ``(|Q|, |E|)`` from the Gram pair ``(Q*Q, E*E)``.
+
+    No modulus is formed.  The SVD of ``Q`` gives ``s`` and an eigenbasis of
+    ``Q*Q``; values at most ``1e-8 * (1 + max s)`` apart form a cluster, and
+    the compressions of ``E*E`` turn the basis into a joint one, on which
+    ``t = |E u|``.  (Square roots of Gram eigenvalues would lift a zero
+    coordinate to about ``1e-8 |Q|`` and split its cluster.)  Raises
+    :class:`CommutatorTooLarge` when the Grams do not commute within
+    ``eps * (1 + |Q*Q||E*E|)``; the Grams need no Hermitian or PSD test.
+    """
+    q, e = as_matrix(q), as_matrix(e)
+    q_gram, e_gram = as_matrix(adjoint(q) @ q), as_matrix(adjoint(e) @ e)  # no overflow
+    _, sv, vh = np.linalg.svd(q)
+    norm_q = _eig_norm(sv)
+    u, s, mu = _refine(adjoint(vh)[:, ::-1], sv[::-1], e_gram, 1e-8 * (1.0 + norm_q))
+    require_commuting(q_gram, e_gram, eps, (norm_q * norm_q, _eig_norm(mu)))
+    return s, np.linalg.norm(e @ u, axis=0)

@@ -11,6 +11,8 @@ Three model types feed the classifiers:
   V*E = 0 automatic for built models.  Powers of order up to ``levels`` are
   computed without truncation error (the headroom contract).  V is applied
   by row shifts; only ``v_matrix()`` and ``assemble()`` build it densely.
+  Its joint spectrum is read from the Gram pair (Q*Q, E*E) by
+  :func:`linalg.modulus_pair_spectrum`; no modulus pair is built.
 * :class:`AtomModel` -- a symbolic direct sum of scaled unitary and scaled
   unilateral-shift atoms for Q with scalar |E| weight per atom; this is the
   only model carrying enough |Q*| information for the full Brownian test.
@@ -27,7 +29,6 @@ import numpy as np
 
 from . import jointspec, linalg
 from .errors import (
-    CommutatorTooLarge,
     DimensionMismatch,
     EmptyGamma,
     HeadroomExceeded,
@@ -84,10 +85,9 @@ class PairModel:
         if A.shape != B.shape or A.shape[0] != A.shape[1]:
             raise DimensionMismatch("expected square matrices of equal shape")
         for name, m in (("A", A), ("B", B)):
-            if not linalg.is_psd(m, eps * (1.0 + opnorm(m))):
+            if not linalg.is_psd(m, eps):
                 raise NotPositiveSemidefinite(f"{name} is not positive semidefinite")
-        if opnorm(A @ B - B @ A) > eps * (1.0 + opnorm(A) * opnorm(B)):
-            raise CommutatorTooLarge("the pair does not commute within tolerance")
+        linalg.require_commuting(A, B, eps)
         return cls(A=A, B=B)
 
     def matrices(self) -> tuple[np.ndarray, np.ndarray]:
@@ -161,11 +161,6 @@ class ShiftEmbedding:
         t[:n1, n1:] = self.E
         t[n1:, n1:] = self.Q
         return t
-
-    def pair(self, eps: float = DEFAULT_EPS) -> PairModel:
-        """The commuting positive pair (|Q|, |E|) on H2."""
-        return PairModel.from_matrices(linalg.modulus(self.Q, eps),
-                                       linalg.modulus(self.E, eps), eps)
 
 
 @dataclass(frozen=True)
@@ -375,10 +370,14 @@ def scale_entries(emb: ShiftEmbedding, z1: complex, z2: complex, z3: complex) ->
     return replace(emb, v_scale=emb.v_scale * z1, E=z2 * emb.E, Q=z3 * emb.Q)
 
 
-def operator_norm(emb: ShiftEmbedding, eps: float = DEFAULT_EPS) -> float:
-    """``max(1, joint spectral radius)`` -- exact because T*T = I (+) Omega_1."""
-    sigma = jointspec.joint_spectrum(emb, eps=eps)
+def spectrum_norm(sigma: JointSpectrum) -> float:
+    """``max(1, radius)``: the norm of T with joint spectrum ``sigma``, as T*T = I (+) Omega_1."""
     return max(1.0, jointspec.radius(sigma))
+
+
+def operator_norm(emb: ShiftEmbedding, eps: float = DEFAULT_EPS) -> float:
+    """:func:`spectrum_norm` of the embedding's joint spectrum."""
+    return spectrum_norm(jointspec.joint_spectrum(emb, eps=eps))
 
 
 class AtomKind(str, Enum):

@@ -150,8 +150,7 @@ def stieltjes_oracle(gamma, k: int, eps: float = DEFAULT_EPS) -> OracleResult:
         raise InsufficientLength(f"order {k} needs {2 * k + 2} moments, got {len(g)}")
     for which, shift in (("hankel", 0), ("shifted", 1)):
         h = _hankel(g, k, shift)
-        tol = eps * (1.0 + linalg.opnorm(h))
-        if not linalg.is_psd(h, tol):
+        if not linalg.is_psd(h, eps):
             return OracleResult(False, k, HankelWitness(which, h, linalg.min_eigenvalue(h)))
     return OracleResult(True, k)
 

@@ -1,7 +1,13 @@
 """Command line behavior: exit codes, JSON output, and tolerance resolution."""
 
+import contextlib
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -163,6 +169,42 @@ def test_dual_rejects_non_invertible(tmp_path, capsys):
     assert code == 2 and err.startswith("error:")
 
 
+def _mixed_embedding(path, d=6, seed=3):
+    """An embedding model whose Q and E are full matrices (a random unitary basis)."""
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+    s, t = rng.uniform(0.5, 1.5, d), rng.uniform(0.1, 1.0, d)
+    e = np.zeros((3 * d, d), dtype=complex)
+    e[:d] = (u * t) @ u.conj().T
+    model_io.save_model(qbs.ShiftEmbedding(2, d, e, (u * s) @ u.conj().T), path)
+    return str(path)
+
+
+def test_embedding_jobs_read_one_spectrum_with_few_svd_norms(tmp_path, capsys, monkeypatch):
+    calls = {"spectrum": 0, "svd": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(qbs.jointspec, "joint_spectrum",
+                        counted("spectrum", qbs.jointspec.joint_spectrum))
+    svd_norm = counted("svd", qbs.linalg.opnorm)
+    monkeypatch.setattr(qbs.linalg, "opnorm", svd_norm)
+    monkeypatch.setattr(qbs.model, "opnorm", svd_norm)
+    path = _mixed_embedding(tmp_path / "emb.json")
+    # classify: one commutator norm; dual: the Hermitian test of Omega_1 and the dual's commutator
+    for argv, most in ((("classify", path, "--region", "subnormal"), 1),
+                       (("dual", path, "--out", str(tmp_path / "dual.json")), 3)):
+        calls.update(spectrum=0, svd=0)
+        code, _, _ = run(capsys, *argv)
+        assert code in (0, 1)
+        assert calls["spectrum"] == 1, argv[0]
+        assert calls["svd"] <= most, argv[0]
+
+
 # -- pencil -----------------------------------------------------------------
 
 def test_pencil_interval_json(tmp_path, capsys):
@@ -262,6 +304,27 @@ def test_oracle_needs_exactly_one_input(capsys):
     assert code == 2 and "exactly one" in err
     code, _, err = run(capsys, "oracle", "--point", "1,0", "--sequence", "1,1")
     assert code == 2 and "exactly one" in err
+
+
+def test_oracle_order_is_capped(capsys):
+    over = str(cli.MAX_HANKEL_ORDER + 1)
+    for argv in (("--point", "0.6,0.8"), ("--sequence", ",".join(["1"] * 300))):
+        code, out, err = run(capsys, "oracle", *argv, "--hankel-order", over)
+        assert (code, out) == (2, "") and "--hankel-order" in err
+    code, out, _ = run(capsys, "oracle", "--point", "0.6,0.8",
+                       "--hankel-order", str(cli.MAX_HANKEL_ORDER))
+    assert code in (0, 1) and json.loads(out)["order"] == cli.MAX_HANKEL_ORDER
+
+
+def test_levels_are_capped(tmp_path, capsys):
+    out = tmp_path / "emb.json"
+    for levels in (10 ** 15, cli.MAX_LEVELS + 1, 0):
+        code, text, err = run(capsys, "realize", "--points", "0.6,0.8", "--levels", str(levels),
+                              "--out", str(out))
+        assert (code, text) == (2, "") and "--levels" in err and not out.exists()
+    pair = write_pair(tmp_path, [1.2], [0.9])
+    code, text, err = run(capsys, "dual", pair, "--levels", str(10 ** 15), "--out", str(out))
+    assert (code, text) == (2, "") and "--levels" in err and not out.exists()
 
 
 # -- plot -------------------------------------------------------------------
@@ -425,3 +488,149 @@ def test_missing_required_argument(capsys):
 def test_no_command(capsys):
     assert main([]) == 2
     capsys.readouterr()
+
+
+# -- fuzzing the model boundary ----------------------------------------------------
+# Every document and every argument list ends in exit 0, 1 or 2 and never in a
+# traceback; a document holding non-finite or mistyped data never gets a verdict.
+
+_GOOD = st.one_of(st.floats(0.0, 4.0), st.integers(0, 4), st.floats(0.0, 4.0).map(repr),
+                  st.sampled_from([1e-300, 1e154, 1e200, "1.7e308"]))  # squares under- or overflow
+_BAD = st.sampled_from([math.nan, math.inf, -math.inf, "nan", "inf", "-Infinity", "x", "",
+                        True, False, None, 10 ** 400, {}, [0.5, 0.5, 0.5]])
+_BAD_COUNT = _BAD.filter(lambda v: type(v) is not int)  # a huge integer is still a count
+
+
+@st.composite
+def _leaf(draw, good=_GOOD, bad=_BAD):
+    """A value and whether it is non-finite or mistyped."""
+    if draw(st.integers(0, 9)) < 2:
+        return draw(bad), True
+    return draw(good), False
+
+
+@st.composite
+def _entry(draw):
+    # a matrix entry: a scalar or an [re, im] pair
+    if draw(st.booleans()):
+        return draw(_leaf())
+    (re, bad_re), (im, bad_im) = draw(_leaf()), draw(_leaf())
+    return [re, im], bad_re or bad_im
+
+
+@st.composite
+def _array(draw, n):
+    """A diagonal of n entries, or in its place a scalar, a string or an object."""
+    if draw(st.integers(0, 9)) < 1:
+        return draw(st.sampled_from([5, 0.5, "51", "0.5", {"0": 1}, None])), True
+    leaves = [draw(_leaf()) for _ in range(n)]
+    return [v for v, _ in leaves], any(bad for _, bad in leaves)
+
+
+def _matrix(draw, rows, cols):
+    entries = [[draw(_entry()) for _ in range(cols)] for _ in range(rows)]
+    return [[v for v, _ in row] for row in entries], any(b for row in entries for _, b in row)
+
+
+@st.composite
+def _documents(draw):
+    kind = draw(st.sampled_from(["diagonal", "matrices", "atoms", "embedding"]))
+    bad = []
+    if kind == "diagonal":
+        n = draw(st.integers(1, 3))
+        (a, bad_a), (b, bad_b) = draw(_array(n)), draw(_array(n))
+        doc, bad = {"type": "pair", "a": a, "b": b}, [bad_a, bad_b]
+    elif kind == "matrices":
+        n = draw(st.integers(1, 2))
+        (a, bad_a), (b, bad_b) = _matrix(draw, n, n), _matrix(draw, n, n)
+        doc, bad = {"type": "pair", "A": a, "B": b}, [bad_a, bad_b]
+    elif kind == "atoms":
+        atoms = []
+        for _ in range(draw(st.integers(1, 2))):
+            (s, bad_s), (t, bad_t) = draw(_leaf()), draw(_leaf())
+            mult, bad_mult = draw(_leaf(st.integers(1, 3), _BAD_COUNT))
+            atoms.append({"kind": draw(st.sampled_from(["shift", "unitary"])),
+                          "s": s, "t": t, "mult": mult})
+            bad += [bad_s, bad_t, bad_mult]
+        doc = {"type": "atoms", "atoms": atoms}
+    else:
+        levels, width = draw(st.integers(1, 2)), 1
+        (e, bad_e), (q, bad_q) = _matrix(draw, levels + 1, 1), _matrix(draw, 1, 1)
+        (lv, bad_lv), (v, bad_v) = draw(_leaf(st.just(levels), _BAD_COUNT)), draw(_entry())
+        doc = {"type": "embedding", "levels": lv, "width": width, "E": e, "Q": q, "v_scale": v}
+        bad = [bad_e, bad_q, bad_lv, bad_v]
+    if draw(st.booleans()):
+        doc["eps"], bad_eps = draw(_leaf(st.floats(0.0, 1e-3)))
+        bad.append(bad_eps)
+    return doc, any(bad)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # products of the huge draws overflow
+@settings(max_examples=300, deadline=None)
+@given(_documents())
+def test_no_document_gets_a_traceback_or_a_verdict_on_bad_data(case):
+    doc, bad = case
+    try:
+        model_io.model_from_json(doc)
+    except (QbsError, ValueError):
+        pass
+    else:
+        assert not bad, doc
+    with tempfile.TemporaryDirectory() as wd:
+        path = Path(wd) / "m.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["classify", str(path), "--region", "subnormal"],
+                     ["dual", str(path), "--out", str(Path(wd) / "d.json")]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2), argv
+            if bad:
+                assert (code, out.getvalue()) == (2, ""), (argv, doc)
+
+
+# "101" and "1001" pass the caps on --hankel-order and --levels by one
+_TOKENS = st.sampled_from([
+    "0", "1", "-1", "0.5", "2", "101", "1001", "nan", "inf", "-inf", "1e400", "x", "",
+    "0.6,0.8", "1.2,0.3", "1,1,2", "0.6,0.8;2,0", "nan,0.5", "0.5,inf", "0.5",
+    "0:1:0.5", "0:1:0", "1:0:1", "0:nan:1", "a:b:c", "1,1.25,1.5,1.75", "1,nan,1,1",
+    "subnormal", "che", "m-expansive:2", "contraction", "bogus", "e", "q"])
+_FLAGS = {
+    "classify": ["--region", "--eps", "--brownian"],
+    "realize": ["--points", "--levels", "--eps"],
+    "dual": ["--levels", "--eps"],
+    "pencil": ["--which", "--grid", "--eps"],
+    "oracle": ["--point", "--sequence", "--hankel-order", "--eps"],
+    "plot": ["--region", "--extent", "--spectrum"],
+}
+
+
+@st.composite
+def _argument_lists(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command]
+    if command in ("classify", "dual", "pencil"):
+        argv.append(draw(st.sampled_from(["{pair}", "{embedding}", "{missing}"])))
+    for flag in draw(st.lists(st.sampled_from(_FLAGS[command]), max_size=4, unique=True)):
+        argv += [flag] if flag == "--brownian" else [flag, draw(_TOKENS)]
+    if command in ("realize", "dual", "plot") or "--grid" in argv:
+        argv += ["--out", "{out}"]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argument_lists())
+def test_no_argument_list_gets_a_traceback_or_a_verdict_on_non_finite_data(argv):
+    non_finite = any(word in arg for arg in argv for word in ("nan", "inf", "1e400"))
+    with tempfile.TemporaryDirectory() as wd:
+        pair, embedding = Path(wd) / "pair.json", Path(wd) / "emb.json"
+        model_io.save_model(qbs.PairModel.from_diagonal([0.6, 1.2], [0.8, 0.3]), pair)
+        model_io.save_model(qbs.realize_spectrum([(0.6, 0.8), (1.2, 0.3)], 2), embedding)
+        files = {"pair": pair, "embedding": embedding, "missing": Path(wd) / "none.json",
+                 "out": Path(wd) / "out"}
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([arg.format(**files) for arg in argv])
+    assert code in (0, 1, 2)
+    if non_finite:
+        assert (code, out.getvalue()) == (2, "")

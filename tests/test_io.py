@@ -184,6 +184,9 @@ def test_format_errors_are_specific():
         ("levels", dict(emb, levels=0)),
         ("width", dict(emb, width="1")),
         ("width", dict(emb, width=-1)),
+        ("model.a", {"type": "pair", "a": "51", "b": "10"}),  # a string is no diagonal
+        ("model.a", {"type": "pair", "a": 5, "b": [1]}),
+        ("model.b", {"type": "pair", "a": [1], "b": {"0": 1}}),
     ):
         with pytest.raises(ModelFormatError, match=field):
             model_io.model_from_json(doc)

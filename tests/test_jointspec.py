@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qbs
-from qbs import jointspec
-from qbs.errors import EmptySpectrum, ImageOutsideQuadrant, NegativeCoordinate
+from qbs import jointspec, linalg
+from qbs.errors import (CommutatorTooLarge, EmptySpectrum, ImageOutsideQuadrant,
+                        NegativeCoordinate)
 
 
 def test_points_are_deduplicated_and_sorted():
@@ -80,6 +81,90 @@ def test_joint_spectrum_of_matrix_pair_and_embedding():
     sigma2 = qbs.joint_spectrum(emb)
     got2 = sorted((round(p.s, 9), round(p.t, 9)) for p in sigma2.points)
     assert got2 == got
+
+
+# -- the Gram route ----------------------------------------------------------------
+
+_GRID = 1e-3  # distinct drawn values lie this far apart, far outside the merge tolerance
+_RUN = 1e-5  # the spacing of runs of tiny s: on s^2 these runs would share one cluster
+
+
+def _modulus_route(emb):
+    """Reference route: both moduli, then a joint diagonalization of the dense pair."""
+    _, s, t = linalg.simultaneous_diagonalize(linalg.modulus(emb.Q), linalg.modulus(emb.E))
+    return qbs.JointSpectrum(tuple(zip(s.tolist(), t.tolist())))
+
+
+@st.composite
+def _block_embeddings(draw):
+    """Embeddings whose H2 is a sum of blocks, each mixed by its own random unitary.
+
+    A block shares one t (possibly 0) and holds either one repeated s
+    (possibly 0) or a run of tiny s spaced _RUN apart.  Q carries random
+    phases, and so does v_scale.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    grid = st.integers(0, 2000).map(lambda k: k * _GRID)
+    s_vals, t_vals, sizes = [], [], []
+    for _ in range(draw(st.integers(1, 4))):
+        m = draw(st.integers(1, 3))
+        if draw(st.booleans()):
+            s_vals += [draw(grid)] * m
+        else:
+            first = draw(st.integers(0, 3))
+            s_vals += [(first + k) * _RUN for k in range(m)]
+        t_vals += [draw(grid)] * m
+        sizes.append(m)
+    d = len(s_vals)
+    u = np.zeros((d, d), dtype=complex)
+    at = 0
+    for m in sizes:
+        z = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+        u[at:at + m, at:at + m] = np.linalg.qr(z)[0]
+        at += m
+    s, t = np.array(s_vals), np.array(t_vals)
+    q = s * np.exp(2j * np.pi * rng.uniform(size=d))
+    levels = draw(st.integers(1, 3))
+    e = np.zeros(((levels + 1) * d, d), dtype=complex)
+    e[:d] = t[:, None] * u.conj().T
+    return qbs.ShiftEmbedding(levels, d, e, (u * q) @ u.conj().T,
+                              complex(np.exp(2j * np.pi * rng.uniform())))
+
+
+def _rows(sigma):
+    """Points and multiplicities in an order that roundoff in the last bits cannot change."""
+    order = np.lexsort((np.round(sigma.t, 9), np.round(sigma.s, 9)))
+    return np.column_stack([sigma.s, sigma.t])[order], sigma.mult[order].tolist()
+
+
+@settings(deadline=None, max_examples=200)
+@given(_block_embeddings())
+def test_gram_route_matches_the_modulus_route(emb):
+    (got, got_mult), (want, want_mult) = _rows(qbs.joint_spectrum(emb)), _rows(_modulus_route(emb))
+    assert got_mult == want_mult
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+def test_zero_coordinates_in_a_mixed_basis_stay_at_roundoff():
+    # square roots of Gram eigenvalues would put each 0 near 1e-8 and split its points
+    s = np.array([0.0, 0.0, 1.0, 1.0, 2.0, 2.0])
+    t = np.array([0.0, 1.5, 0.0, 1.5, 0.0, 1.5])
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        u = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))[0]
+        e = np.zeros((12, 6), dtype=complex)
+        e[:6] = t[:, None] * u.conj().T
+        points, mult = _rows(qbs.joint_spectrum(qbs.ShiftEmbedding(1, 6, e, (u * s) @ u.conj().T)))
+        assert mult == [1] * 6
+        np.testing.assert_allclose(points, sorted(zip(s, t)), rtol=0.0, atol=1e-12)
+
+
+def test_non_commuting_embedding_is_rejected():
+    e = np.zeros((4, 2), dtype=complex)
+    e[:2] = [[1.0, 1.0], [0.0, 0.0]]  # E*E is the all-ones matrix
+    emb = qbs.ShiftEmbedding(1, 2, e, np.diag([1.0, 2.0]))
+    with pytest.raises(CommutatorTooLarge):
+        qbs.joint_spectrum(emb)
 
 
 def test_joint_spectrum_rejects_other_inputs():

@@ -62,6 +62,15 @@ def test_is_psd_judgments():
     assert linalg.is_psd(np.diag([1.0, -1e-12]), eps=1e-9)
 
 
+def test_is_psd_tolerance_is_relative_to_the_norm():
+    # at |H| = 1e6 the tolerance is eps * (1 + 1e6), about 1e-3
+    assert linalg.is_psd(np.diag([1e6, -1e-4]))
+    assert not linalg.is_psd(np.diag([1e6, -1e-2]))
+    assert linalg.is_psd(np.array([[1e6, 1e-4], [0.0, 1.0]]))
+    with pytest.raises(NonHermitianInput):
+        linalg.is_psd(np.array([[1e6, 1e-2], [0.0, 1.0]]))
+
+
 def test_clamp_spectrum_zeroes_roundoff_negatives():
     out = linalg.clamp_spectrum(np.array([-1e-12, 0.5]))
     assert out[0] == 0.0 and out[1] == 0.5
