@@ -51,33 +51,23 @@ def _sym(a: np.ndarray) -> np.ndarray:
     return (a + adjoint(a)) / 2.0
 
 
-def _eig_norm(values: np.ndarray) -> float:
-    """Operator norm of a Hermitian matrix from its eigenvalues."""
-    return float(np.abs(values).max()) if len(values) else 0.0
-
-
 def hermitian_defect(m) -> float:
     a = as_matrix(m)
     return opnorm(a - adjoint(a))
 
 
-def _require_hermitian(a: np.ndarray, norm: float, eps: float, what: str) -> None:
+def _hermitian_norm(a: np.ndarray, w: np.ndarray, eps: float, what: str) -> float:
+    """``|a|`` read off its eigenvalues ``w``, once ``|a - a*| <= eps * (1 + |a|)`` holds."""
+    norm = float(np.max(np.abs(w), initial=0.0))
     if hermitian_defect(a) > eps * (1.0 + norm):
         raise NonHermitianInput(f"{what} is not Hermitian within tolerance")
+    return norm
 
 
-def require_commuting(a: np.ndarray, b: np.ndarray, eps: float, norms=None) -> None:
-    """Raise :class:`CommutatorTooLarge` when ``|ab - ba| > eps * (1 + |a||b|)``.
-
-    ``norms`` are ``(|a|, |b|)`` if the caller has them, else they are computed.
-    """
-    if norms is None:
-        norms = [_eig_norm(np.linalg.eigvalsh(_sym(m))) for m in (a, b)]
-    na, nb = norms
-    if opnorm(a @ b - b @ a) > eps * (1.0 + na * nb):
-        raise CommutatorTooLarge(
-            f"commutator norm exceeds {eps:g} * (1 + |A||B|); the pair does not commute"
-        )
+def require_commuting(comm: float, norm_a: float, norm_b: float, eps: float) -> None:
+    """Raise :class:`CommutatorTooLarge` when ``|ab - ba| = comm > eps * (1 + |a||b|)``."""
+    if comm > eps * (1.0 + norm_a * norm_b):
+        raise CommutatorTooLarge(f"commutator norm exceeds {eps:g} * (1 + |A||B|)")
 
 
 def clamp_spectrum(values: np.ndarray, scale: float = 1.0) -> np.ndarray:
@@ -106,12 +96,12 @@ def hermitian_eig(h, eps: float = DEFAULT_EPS) -> HermitianEig:
     """Eigendecomposition of a Hermitian matrix.
 
     Raises :class:`NonHermitianInput` when the defect ``|H - H*|`` exceeds
-    ``eps * (1 + |H|)``, with ``|H|`` read off the eigenvalues.  The matrix
-    is symmetrized before factoring so the output is exactly Hermitian data.
+    ``eps * (1 + |H|)``.  The matrix is symmetrized before factoring so the
+    output is exactly Hermitian data.
     """
     a = as_matrix(h)
     w, u = np.linalg.eigh(_sym(a))
-    _require_hermitian(a, _eig_norm(w), eps, "matrix")
+    _hermitian_norm(a, w, eps, "matrix")
     return HermitianEig(w, u)
 
 
@@ -119,7 +109,7 @@ def modulus(m, eps: float = DEFAULT_EPS) -> np.ndarray:
     """``|M| = (M*M)^(1/2)``, Hermitian PSD, for any rectangular ``M``."""
     a = as_matrix(m)
     eig = hermitian_eig(adjoint(a) @ a, eps)
-    w = clamp_spectrum(eig.eigenvalues, scale=1.0 + _eig_norm(eig.eigenvalues))
+    w = clamp_spectrum(eig.eigenvalues, scale=1.0 + np.max(np.abs(eig.eigenvalues), initial=0.0))
     u = eig.eigenvectors
     return _sym((u * np.sqrt(w)) @ adjoint(u))
 
@@ -129,32 +119,30 @@ def min_eigenvalue(h) -> float:
     return float(np.linalg.eigvalsh(_sym(a))[0])
 
 
-def is_psd(h, eps: float = DEFAULT_EPS) -> bool:
-    """True when the smallest eigenvalue is at least ``-eps * (1 + |H|)``.
-
-    The input must be Hermitian to within the same relative tolerance, else
-    :class:`NonHermitianInput` is raised.  ``|H|`` is read off the
-    eigenvalues.
-    """
+def psd_norm(h, eps: float = DEFAULT_EPS) -> float | None:
+    """``|H|`` when the smallest eigenvalue is at least ``-eps * (1 + |H|)``, else None."""
     a = as_matrix(h)
     w = np.linalg.eigvalsh(_sym(a))
-    norm = _eig_norm(w)
-    _require_hermitian(a, norm, eps, "PSD test input")
-    return bool(w[0] >= -eps * (1.0 + norm))
+    norm = _hermitian_norm(a, w, eps, "PSD test input")
+    return norm if w[0] >= -eps * (1.0 + norm) else None
 
 
-def _refine(u: np.ndarray, values: np.ndarray, b: np.ndarray,
-            gap: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rotate an eigenbasis ``u`` (ascending ``values``) to a joint eigenbasis with ``b``.
+def is_psd(h, eps: float = DEFAULT_EPS) -> bool:
+    """True when :func:`psd_norm` accepts ``h``: relative, ``eps * (1 + |H|)``."""
+    return psd_norm(h, eps) is not None
 
-    Consecutive values at most ``gap`` apart form a cluster, whose columns
-    are rotated to the eigenvectors ``v`` of the compression of ``b``.
-    Returns the basis, the values as Rayleigh quotients ``|v|^2 values`` and
-    the compressions' eigenvalues.
+
+def _refine(u: np.ndarray, values: np.ndarray, w: np.ndarray,
+            gap: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Rotate a basis ``u`` (``a = u diag(values) u*``, ``w = u* b u``) to a joint eigenbasis.
+
+    Returns the basis (or the image of it ``u`` was passed as), ``values``
+    refined per cluster (gap ``gap``) as Rayleigh quotients, the eigenvalues
+    of ``w``'s compressions and ``|ab - ba|``.
     """
     u = np.array(u, dtype=complex)
-    w = adjoint(u) @ b @ u
     first = np.array(values, dtype=float)
+    comm = opnorm(first[:, None] * w - w * first)
     second = np.real(np.diagonal(w)).copy()
     cuts = np.flatnonzero(np.diff(first) > gap) + 1
     for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, len(first)]):
@@ -162,7 +150,7 @@ def _refine(u: np.ndarray, values: np.ndarray, b: np.ndarray,
             second[lo:hi], v = np.linalg.eigh(_sym(w[lo:hi, lo:hi]))
             first[lo:hi] = (np.abs(v) ** 2).T @ first[lo:hi]
             u[:, lo:hi] = u[:, lo:hi] @ v
-    return u, first, second
+    return u, first, second, comm
 
 
 def simultaneous_diagonalize(
@@ -171,45 +159,36 @@ def simultaneous_diagonalize(
     """Joint unitary diagonalization of a commuting Hermitian pair.
 
     Returns ``(u, avals, bvals)`` with ``u* a u = diag(avals)`` and
-    ``u* b u = diag(bvals)``; the pairs ``(avals[i], bvals[i])`` are the joint
-    eigenvalues.  The first matrix is eigendecomposed, its eigenvalues are
-    clustered with gap threshold ``1e-8 * (1 + |a|)``, and within each
-    near-degenerate cluster the compression of ``b`` is diagonalized, which
-    resolves the pair completely.
-
-    Raises :class:`CommutatorTooLarge` when
-    ``|ab - ba| > eps * (1 + |a| * |b|)`` and :class:`NonHermitianInput` when
-    either matrix fails the Hermitian test; ``|b|`` is read off the
-    compressions' eigenvalues.
+    ``u* b u = diag(bvals)``.  Eigenvalues of ``a`` at most
+    ``1e-8 * (1 + |a|)`` apart form a cluster, resolved by the compression of
+    ``b``.  Raises :class:`NonHermitianInput` or :class:`CommutatorTooLarge`
+    when a test of the module docstring fails.
     """
     A = as_matrix(a)
     B = as_matrix(b)
     if A.shape != B.shape or A.shape[0] != A.shape[1]:
         raise ValueError("expected square matrices of equal shape")
-    eig_a = hermitian_eig(A, eps)
-    norm_a = _eig_norm(eig_a.eigenvalues)
-    u, avals, bvals = _refine(eig_a.eigenvectors, eig_a.eigenvalues, B, 1e-8 * (1.0 + norm_a))
-    norm_b = _eig_norm(bvals)
-    require_commuting(A, B, eps, (norm_a, norm_b))
-    _require_hermitian(B, norm_b, eps, "second matrix")
+    w, u = np.linalg.eigh(_sym(A))
+    norm_a = _hermitian_norm(A, w, eps, "first matrix")
+    u, avals, bvals, comm = _refine(u, w, adjoint(u) @ B @ u, 1e-8 * (1.0 + norm_a))
+    require_commuting(comm, norm_a, _hermitian_norm(B, bvals, eps, "second matrix"), eps)
     return u, avals, bvals
 
 
 def modulus_pair_spectrum(q, e, eps: float = DEFAULT_EPS) -> tuple[np.ndarray, np.ndarray]:
-    """Joint spectrum ``(s, t)`` of ``(|Q|, |E|)`` from the Gram pair ``(Q*Q, E*E)``.
+    """Joint spectrum ``(s, t)`` of ``(|Q|, |E|)``, read from the Gram pair ``(Q*Q, E*E)``.
 
-    No modulus is formed.  The SVD of ``Q`` gives ``s`` and an eigenbasis of
-    ``Q*Q``; values at most ``1e-8 * (1 + max s)`` apart form a cluster, and
-    the compressions of ``E*E`` turn the basis into a joint one, on which
-    ``t = |E u|``.  (Square roots of Gram eigenvalues would lift a zero
-    coordinate to about ``1e-8 |Q|`` and split its cluster.)  Raises
-    :class:`CommutatorTooLarge` when the Grams do not commute within
-    ``eps * (1 + |Q*Q||E*E|)``; the Grams need no Hermitian or PSD test.
+    No modulus is formed.  The SVD ``Q = X diag(s) Y*`` gives ``s`` (roots of
+    eigenvalues of ``Q*Q`` would lift a zero to about ``1e-8 |Q|``) and the
+    basis ``Y``; clusters of ``s`` (gap ``1e-8 * (1 + |Q|)``) are resolved by
+    compressions of ``E*E``, and ``t = |E u|`` on the joint basis ``u``.  The
+    guard is ``[|Q|, E*E] = |E| C + C |E|`` with ``C = [|Q|, |E|]``, held to
+    the modulus pair's bound times ``|E|``: :class:`CommutatorTooLarge` when
+    it exceeds ``eps * (1 + |Q||E|) * |E|``.
     """
-    q, e = as_matrix(q), as_matrix(e)
-    q_gram, e_gram = as_matrix(adjoint(q) @ q), as_matrix(adjoint(e) @ e)  # no overflow
-    _, sv, vh = np.linalg.svd(q)
-    norm_q = _eig_norm(sv)
-    u, s, mu = _refine(adjoint(vh)[:, ::-1], sv[::-1], e_gram, 1e-8 * (1.0 + norm_q))
-    require_commuting(q_gram, e_gram, eps, (norm_q * norm_q, _eig_norm(mu)))
-    return s, np.linalg.norm(e @ u, axis=0)
+    _, sv, vh = np.linalg.svd(as_matrix(q))
+    ey = as_matrix(e) @ adjoint(vh)[:, ::-1]
+    eu, s, _, comm = _refine(ey, sv[::-1], as_matrix(adjoint(ey) @ ey), 1e-8 * (1.0 + sv[0]))
+    t = np.linalg.norm(eu, axis=0)
+    require_commuting(comm, sv[0], t.max(), eps * t.max())
+    return s, t

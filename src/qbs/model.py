@@ -84,10 +84,11 @@ class PairModel:
         B = as_matrix(b)
         if A.shape != B.shape or A.shape[0] != A.shape[1]:
             raise DimensionMismatch("expected square matrices of equal shape")
-        for name, m in (("A", A), ("B", B)):
-            if not linalg.is_psd(m, eps):
+        norms = [linalg.psd_norm(m, eps) for m in (A, B)]
+        for name, norm in zip("AB", norms):
+            if norm is None:
                 raise NotPositiveSemidefinite(f"{name} is not positive semidefinite")
-        linalg.require_commuting(A, B, eps)
+        linalg.require_commuting(opnorm(A @ B - B @ A), *norms, eps)
         return cls(A=A, B=B)
 
     def matrices(self) -> tuple[np.ndarray, np.ndarray]:

@@ -159,10 +159,14 @@ def test_zero_coordinates_in_a_mixed_basis_stay_at_roundoff():
         np.testing.assert_allclose(points, sorted(zip(s, t)), rtol=0.0, atol=1e-12)
 
 
-def test_non_commuting_embedding_is_rejected():
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 3e-4, 1e3])
+def test_non_commuting_embedding_is_rejected(scale):
+    # the modulus pair's test rejects every scale: the guard on [|Q|, E*E] scales as it does
     e = np.zeros((4, 2), dtype=complex)
-    e[:2] = [[1.0, 1.0], [0.0, 0.0]]  # E*E is the all-ones matrix
-    emb = qbs.ShiftEmbedding(1, 2, e, np.diag([1.0, 2.0]))
+    e[:2] = scale * np.array([[1.0, 1.0], [0.0, 0.0]])  # E*E is a multiple of the all-ones matrix
+    emb = qbs.ShiftEmbedding(1, 2, e, scale * np.diag([1.0, 2.0]))
+    a, b = linalg.modulus(emb.Q), linalg.modulus(emb.E)
+    assert linalg.opnorm(a @ b - b @ a) > 1e-9 * (1.0 + linalg.opnorm(a) * linalg.opnorm(b))
     with pytest.raises(CommutatorTooLarge):
         qbs.joint_spectrum(emb)
 
