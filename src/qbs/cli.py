@@ -16,7 +16,8 @@ parse, or model errors.
 Tolerance resolution, most specific wins: ``--eps`` flag, then the model
 file's ``eps`` field, then the ``QBS_EPS`` environment variable, then the
 library default.  A resolved tolerance that is NaN, infinite or negative is
-an error (exit 2).
+an error (exit 2).  A matrix pair file is tested as it is read, at the
+resolved tolerance.
 
 Every subcommand prints one compact JSON line on stdout, as the C JSON encoder
 writes it.  The argparse parser is built once per process.
@@ -35,7 +36,7 @@ from pathlib import Path
 from . import dual as dual_mod
 from . import io as model_io
 from . import jointspec, pencils, regions
-from .errors import NotQuasiBrownian, QbsError
+from .errors import QbsError
 from .linalg import DEFAULT_EPS
 from .model import (AtomModel, PairModel, ShiftEmbedding, atom_spectra, build_from_pair,
                     operator_norm, realize_spectrum, spectrum_norm)
@@ -45,6 +46,7 @@ _ENV_EPS = "QBS_EPS"
 MAX_GRID_ALPHAS = 10 ** 6  # the most alphas one --grid scan may hold
 MAX_LEVELS = 1000  # the deepest --levels an embedding may be built with
 MAX_HANKEL_ORDER = 100  # the largest --hankel-order the oracle runs
+MAX_EMBEDDING_ENTRIES = 2 ** 23  # the most (levels + 1) d^2 entries of E a built embedding holds
 
 
 def _resolve_eps(flag_eps, file_eps) -> float:
@@ -64,6 +66,13 @@ def _resolve_eps(flag_eps, file_eps) -> float:
     if not (math.isfinite(eps) and eps >= 0.0):
         raise QbsError(f"{source} = {eps!r} is not a finite nonnegative tolerance")
     return eps
+
+
+def _load(args):
+    # a matrix pair is tested as it is read, at the resolved eps
+    resolve = functools.partial(_resolve_eps, args.eps)
+    model, file_eps = model_io.load_model(args.model, resolve)
+    return model, file_eps, resolve(file_eps)
 
 
 def _spectrum_of(model, eps: float) -> jointspec.JointSpectrum:
@@ -100,13 +109,21 @@ def _bounded(value: int, flag: str, low: int, high: int) -> int:
     return value
 
 
+def _embedding_levels(levels: int, d: int) -> int:
+    """``--levels`` once it and the ``(levels + 1) d^2`` entries of E are in bounds."""
+    levels = _bounded(levels, "--levels", 1, MAX_LEVELS)
+    if (levels + 1) * d * d > MAX_EMBEDDING_ENTRIES:
+        raise QbsError(f"an embedding of dimension {d} at --levels {levels} holds "
+                       f"(levels + 1) d^2 > {MAX_EMBEDDING_ENTRIES} entries")
+    return levels
+
+
 def _emit(doc: dict) -> None:
     print(json.dumps(doc))
 
 
 def _cmd_classify(args) -> int:
-    model, file_eps = model_io.load_model(args.model)
-    eps = _resolve_eps(args.eps, file_eps)
+    model, _, eps = _load(args)
     if args.brownian:
         if not isinstance(model, AtomModel):
             raise QbsError("--brownian needs an atom model")
@@ -114,17 +131,10 @@ def _cmd_classify(args) -> int:
         doc = {"quasi_brownian": report.quasi_brownian,
                "brownian": report.brownian,
                "violators": model_io.points_to_json(report.violators)}
-        try:
-            dec = regions.brownian_decomposition(model, eps)
-        except NotQuasiBrownian:
-            dec = None
-        if dec is not None:
-            doc["decomposition"] = {
-                "h_u": [model_io.atom_to_json(a) for a in dec.h_u],
-                "h_s": [model_io.atom_to_json(a) for a in dec.h_s],
-                "h_si": [model_io.atom_to_json(a) for a in dec.h_si],
-                "shift_flags": [model_io.atom_to_json(a) for a in dec.shift_flags],
-            }
+        if report.decomposition is not None:
+            doc["decomposition"] = {key: list(map(model_io.atom_to_json,
+                                                  getattr(report.decomposition, key)))
+                                    for key in ("h_u", "h_s", "h_si", "shift_flags")}
         _emit(doc)
         return 0 if report.brownian else 1
     if args.region is None:
@@ -144,9 +154,10 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_realize(args) -> int:
-    points = [(s, t) for s, t, mult in _parse_points(args.points) for _ in range(mult)]
-    emb = realize_spectrum(points, levels=_bounded(args.levels, "--levels", 1, MAX_LEVELS))
+    points = [jointspec.SpectralPoint(s, t, mult=m) for s, t, m in _parse_points(args.points)]
+    levels = _embedding_levels(args.levels, sum(max(p.mult, 0) for p in points))
     eps = _resolve_eps(args.eps, None)
+    emb = realize_spectrum(points, levels=levels)
     model_io.save_model(emb, args.out, eps=args.eps)
     _emit({"out": str(args.out), "levels": emb.levels, "width": emb.width,
            "norm": model_io.format_float(operator_norm(emb, eps))})
@@ -154,11 +165,9 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_dual(args) -> int:
-    model, file_eps = model_io.load_model(args.model)
-    eps = _resolve_eps(args.eps, file_eps)
+    model, file_eps, eps = _load(args)
     if isinstance(model, PairModel):
-        levels = _bounded(args.levels, "--levels", 1, MAX_LEVELS)
-        emb = build_from_pair(model, levels=levels, eps=eps)
+        emb = build_from_pair(model, levels=_embedding_levels(args.levels, model.dim))
     elif isinstance(model, ShiftEmbedding):
         emb = model
     else:
@@ -195,8 +204,7 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _cmd_pencil(args) -> int:
-    model, file_eps = model_io.load_model(args.model)
-    eps = _resolve_eps(args.eps, file_eps)
+    model, _, eps = _load(args)
     if isinstance(model, AtomModel):
         raise QbsError("pencil intervals need a pair or embedding model")
     sigma = _spectrum_of(model, eps)
@@ -283,7 +291,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("realize", help="build an embedding whose spectrum is a given point set")
     p.add_argument("--points", required=True, help="semicolon-separated s,t[,mult] list")
     p.add_argument("--levels", type=int, default=4,
-                   help=f"truncation depth, 1 to {MAX_LEVELS} (default 4)")
+                   help=f"truncation depth, 1 to {MAX_LEVELS} (default 4); (levels + 1) d^2 <= "
+                        f"{MAX_EMBEDDING_ENTRIES} for d points counted with multiplicity")
     p.add_argument("--out", required=True, help="output model JSON path")
     add_eps(p)
     p.set_defaults(func=_cmd_realize)
@@ -292,7 +301,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("model", help="pair or embedding model JSON file")
     p.add_argument("--out", required=True, help="output model JSON path")
     p.add_argument("--levels", type=int, default=4,
-                   help=f"truncation depth when the input is a pair, 1 to {MAX_LEVELS} (default 4)")
+                   help=f"truncation depth for a pair of dimension d, 1 to {MAX_LEVELS} "
+                        f"(default 4); (levels + 1) d^2 <= {MAX_EMBEDDING_ENTRIES}")
     add_eps(p)
     p.set_defaults(func=_cmd_dual)
 

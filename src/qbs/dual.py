@@ -15,7 +15,7 @@ import logging
 
 import numpy as np
 
-from . import jointspec, linalg, model
+from . import jointspec, model
 from .errors import NotLeftInvertible
 from .jointspec import JointSpectrum
 from .linalg import DEFAULT_EPS, adjoint
@@ -29,18 +29,16 @@ def cauchy_dual(emb: model.ShiftEmbedding, eps: float = DEFAULT_EPS) -> model.Sh
     Raises :class:`NotLeftInvertible` unless the margin |O^(-1)|^(-1/2)
     exceeds eps.
     """
-    omega1 = model.omega(emb, 1)
-    eig = linalg.hermitian_eig(omega1, eps)
-    lo = float(eig.eigenvalues[0])
+    # omega() returns Omega_1 exactly Hermitian, so it is factored untested
+    w, u = np.linalg.eigh(model.omega(emb, 1))
+    lo = float(w[0])
     margin = np.sqrt(max(lo, 0.0))
     if margin <= eps:
         raise NotLeftInvertible(
             f"left-invertibility margin {margin:.3e} is not above {eps:g}"
         )
-    hi = float(eig.eigenvalues[-1])
-    log.debug("inverting Omega_1 with condition number %.3e", hi / lo)
-    u = eig.eigenvectors
-    inv = (u / eig.eigenvalues) @ adjoint(u)
+    log.debug("inverting Omega_1 with condition number %.3e", float(w[-1]) / lo)
+    inv = (u / w) @ adjoint(u)
     return model.ShiftEmbedding(emb.levels, emb.width, emb.E @ inv, emb.Q @ inv,
                                 emb.v_scale)
 

@@ -16,7 +16,8 @@ arrays.  The counts ``levels``, ``width`` and ``mult`` are JSON integers
 values exactly.  Arrays are read in one C-level pass; only a
 rejected one is walked entry by entry, to name the bad entry.  An optional
 top-level ``eps`` records the tolerance the model was prepared with; it must
-not be negative.
+not be negative.  A matrix pair is tested as it is read, at the tolerance
+``resolve(file_eps)``; the readers' default ``resolve`` gives ``DEFAULT_EPS``.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import numpy as np
 
 from .errors import ModelFormatError
 from .jointspec import SpectralPoint, format_float, format_floats
+from .linalg import DEFAULT_EPS
 from .model import AtomKind, AtomModel, PairModel, QAtom, ShiftEmbedding
 
 _MODEL_TYPES = ("pair", "atoms", "embedding")
@@ -127,8 +129,8 @@ def atom_to_json(at: QAtom) -> dict:
             "t": format_float(at.t), "mult": at.mult}
 
 
-def model_from_json(doc, where: str = "model"):
-    """Parse one model document; returns ``(model, eps_or_None)``."""
+def model_from_json(doc, where: str = "model", resolve=lambda file_eps: DEFAULT_EPS):
+    """One document as ``(model, eps_or_None)``; a matrix pair is tested at ``resolve(eps)``."""
     if not isinstance(doc, dict):
         raise ModelFormatError(f"{where}: expected a JSON object")
     kind = doc.get("type")
@@ -150,7 +152,7 @@ def model_from_json(doc, where: str = "model"):
         if "A" not in doc or "B" not in doc:
             raise ModelFormatError(f"{where}: matrix pair needs both 'A' and 'B'")
         return (PairModel.from_matrices(_matrix(doc["A"], f"{where}.A"),
-                                        _matrix(doc["B"], f"{where}.B")), eps)
+                                        _matrix(doc["B"], f"{where}.B"), resolve(eps)), eps)
     if kind == "atoms":
         entries = doc.get("atoms")
         if not isinstance(entries, list) or not entries:
@@ -197,8 +199,8 @@ def model_to_json(model, eps: float | None = None) -> dict:
     return doc
 
 
-def load_model(path):
-    """Read a model file; returns ``(model, eps_or_None)``."""
+def load_model(path, resolve=lambda file_eps: DEFAULT_EPS):
+    """Read a model file as :func:`model_from_json` does; returns ``(model, eps_or_None)``."""
     p = Path(path)
     try:
         text = p.read_text()
@@ -208,7 +210,7 @@ def load_model(path):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"{p}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    return model_from_json(doc, where=str(p))
+    return model_from_json(doc, str(p), resolve)
 
 
 def save_model(model, path, eps: float | None = None) -> None:

@@ -232,22 +232,21 @@ def joint_spectrum(pair_or_embedding, dedup_tol: float = DEDUP_TOL,
                    eps: float = linalg.DEFAULT_EPS) -> JointSpectrum:
     """Taylor spectrum of a commuting positive pair, as a finite point set.
 
-    Diagonal models yield their coordinate pairs directly; matrix models go
-    through :func:`linalg.simultaneous_diagonalize`.  A shift embedding
-    contributes the spectrum of its modulus pair (|Q|, |E|), read from its
-    Gram pair (Q*Q, E*E) by :func:`linalg.modulus_pair_spectrum`.
+    A pair model yields the joint eigenvalues ``(a, b)`` it holds: a dense
+    pair was diagonalized, and tested, once when it was made, so ``eps``
+    plays no part here.  A shift embedding contributes the spectrum of its
+    modulus pair (|Q|, |E|), read from its Gram pair (Q*Q, E*E) by
+    :func:`linalg.modulus_pair_spectrum` at ``eps``.
     """
     from .model import PairModel, ShiftEmbedding
 
     obj = pair_or_embedding
     if isinstance(obj, ShiftEmbedding):
         s, t = linalg.modulus_pair_spectrum(obj.Q, obj.E, eps)
-    elif not isinstance(obj, PairModel):
-        raise TypeError(f"cannot read a commuting pair from {type(obj).__name__}")
-    elif obj.is_diagonal:
+    elif isinstance(obj, PairModel):
         s, t = obj.a, obj.b
     else:
-        _, s, t = linalg.simultaneous_diagonalize(obj.A, obj.B, eps)
+        raise TypeError(f"cannot read a commuting pair from {type(obj).__name__}")
     return JointSpectrum(tuple(map(SpectralPoint, map(float, s), map(float, t))), dedup_tol)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CommutatorTooLarge, NonHermitianInput
+from .errors import CommutatorTooLarge, DimensionMismatch, NonHermitianInput
 
 log = logging.getLogger(__name__)
 
@@ -60,7 +60,7 @@ def _hermitian_norm(a: np.ndarray, w: np.ndarray, eps: float, what: str) -> floa
     """``|a|`` read off its eigenvalues ``w``, once ``|a - a*| <= eps * (1 + |a|)`` holds."""
     norm = float(np.max(np.abs(w), initial=0.0))
     if hermitian_defect(a) > eps * (1.0 + norm):
-        raise NonHermitianInput(f"{what} is not Hermitian within tolerance")
+        raise NonHermitianInput(f"{what} is not Hermitian within {eps:g} * (1 + |H|)")
     return norm
 
 
@@ -114,22 +114,21 @@ def modulus(m, eps: float = DEFAULT_EPS) -> np.ndarray:
     return _sym((u * np.sqrt(w)) @ adjoint(u))
 
 
-def min_eigenvalue(h) -> float:
-    a = as_matrix(h)
-    return float(np.linalg.eigvalsh(_sym(a))[0])
-
-
-def psd_norm(h, eps: float = DEFAULT_EPS) -> float | None:
-    """``|H|`` when the smallest eigenvalue is at least ``-eps * (1 + |H|)``, else None."""
-    a = as_matrix(h)
-    w = np.linalg.eigvalsh(_sym(a))
-    norm = _hermitian_norm(a, w, eps, "PSD test input")
-    return norm if w[0] >= -eps * (1.0 + norm) else None
+def psd_spectrum(w, eps: float = DEFAULT_EPS) -> bool:
+    """The PSD rule on eigenvalues ``w`` (any order): ``min w >= -eps * (1 + max |w|)``."""
+    w = np.asarray(w, dtype=float)
+    return bool(w.min(initial=0.0) >= -eps * (1.0 + np.max(np.abs(w), initial=0.0)))
 
 
 def is_psd(h, eps: float = DEFAULT_EPS) -> bool:
-    """True when :func:`psd_norm` accepts ``h``: relative, ``eps * (1 + |H|)``."""
-    return psd_norm(h, eps) is not None
+    """:func:`psd_spectrum` of ``h``'s eigenvalues, once ``h`` is Hermitian within tolerance.
+
+    Raises :class:`NonHermitianInput` otherwise.
+    """
+    a = as_matrix(h)
+    w = np.linalg.eigvalsh(_sym(a))
+    _hermitian_norm(a, w, eps, "PSD test input")
+    return psd_spectrum(w, eps)
 
 
 def _refine(u: np.ndarray, values: np.ndarray, w: np.ndarray,
@@ -161,13 +160,14 @@ def simultaneous_diagonalize(
     Returns ``(u, avals, bvals)`` with ``u* a u = diag(avals)`` and
     ``u* b u = diag(bvals)``.  Eigenvalues of ``a`` at most
     ``1e-8 * (1 + |a|)`` apart form a cluster, resolved by the compression of
-    ``b``.  Raises :class:`NonHermitianInput` or :class:`CommutatorTooLarge`
-    when a test of the module docstring fails.
+    ``b``.  Raises :class:`DimensionMismatch` unless both are square of one
+    shape, and :class:`NonHermitianInput` or :class:`CommutatorTooLarge` when a
+    test of the module docstring fails.
     """
     A = as_matrix(a)
     B = as_matrix(b)
     if A.shape != B.shape or A.shape[0] != A.shape[1]:
-        raise ValueError("expected square matrices of equal shape")
+        raise DimensionMismatch("expected square matrices of equal shape")
     w, u = np.linalg.eigh(_sym(A))
     norm_a = _hermitian_norm(A, w, eps, "first matrix")
     u, avals, bvals, comm = _refine(u, w, adjoint(u) @ B @ u, 1e-8 * (1.0 + norm_a))

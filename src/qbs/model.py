@@ -3,7 +3,7 @@
 Three model types feed the classifiers:
 
 * :class:`PairModel` -- a commuting positive pair (A, B) standing for
-  (|Q|, |E|), diagonal or dense.
+  (|Q|, |E|), diagonal or dense, held with its joint eigenvalues.
 * :class:`ShiftEmbedding` -- a finite matrix model of T itself.  H1 is a stack
   of ``levels + 1`` copies of a width-``width`` layer; V shifts layer i to
   layer i + 1 and annihilates the last layer, so it is an exact isometry on
@@ -53,20 +53,25 @@ def _clamp_coord(x: float, what: str) -> float:
 
 @dataclass(frozen=True, eq=False)
 class PairModel:
-    """Commuting positive pair (A, B); diagonal entries or dense matrices."""
+    """Commuting positive pair (A, B) with its joint eigenvalues ``a``, ``b`` (paired by index).
 
-    a: tuple[float, ...] | None = None
-    b: tuple[float, ...] | None = None
+    ``a``, ``b`` are a diagonal pair's entries, or what the one joint
+    diagonalization of :meth:`from_matrices` gives; ``A``, ``B`` hold a dense
+    pair's matrices (None for a diagonal pair).
+    """
+
+    a: tuple[float, ...]
+    b: tuple[float, ...]
     A: np.ndarray | None = None
     B: np.ndarray | None = None
 
     @property
     def is_diagonal(self) -> bool:
-        return self.a is not None
+        return self.A is None
 
     @property
     def dim(self) -> int:
-        return len(self.a) if self.is_diagonal else int(self.A.shape[0])
+        return len(self.a)
 
     @classmethod
     def from_diagonal(cls, a: Iterable[float], b: Iterable[float]) -> "PairModel":
@@ -80,16 +85,14 @@ class PairModel:
 
     @classmethod
     def from_matrices(cls, a, b, eps: float = DEFAULT_EPS) -> "PairModel":
-        A = as_matrix(a)
-        B = as_matrix(b)
-        if A.shape != B.shape or A.shape[0] != A.shape[1]:
-            raise DimensionMismatch("expected square matrices of equal shape")
-        norms = [linalg.psd_norm(m, eps) for m in (A, B)]
-        for name, norm in zip("AB", norms):
-            if norm is None:
-                raise NotPositiveSemidefinite(f"{name} is not positive semidefinite")
-        linalg.require_commuting(opnorm(A @ B - B @ A), *norms, eps)
-        return cls(A=A, B=B)
+        """A dense pair, tested (Hermitian, commuting, PSD) and diagonalized once at ``eps``."""
+        A, B = as_matrix(a), as_matrix(b)
+        _, avals, bvals = linalg.simultaneous_diagonalize(A, B, eps)
+        for name, w in (("A", avals), ("B", bvals)):
+            if not linalg.psd_spectrum(w, eps):
+                raise NotPositiveSemidefinite(f"{name} is not PSD within {eps:g} * (1 + |{name}|)")
+        return cls(tuple(np.maximum(avals, 0.0).tolist()), tuple(np.maximum(bvals, 0.0).tolist()),
+                   A, B)
 
     def matrices(self) -> tuple[np.ndarray, np.ndarray]:
         if self.is_diagonal:
@@ -203,8 +206,8 @@ def validate_class_q(emb: ShiftEmbedding, eps: float = DEFAULT_EPS) -> ClassQRep
     Each residual is compared against ``eps`` scaled by the norms entering the
     identity; the verdict is the conjunction.  The first two need no dense V:
     V*V is |v|^2 I on the interior layers, and V*E is conj(v) times layers
-    1..levels of E.  The tall blocks' norms come from their small Gram
-    matrices, ``|X| = sqrt(lambda_max(X*X))``.
+    1..levels of E.  The norms of Q and of the tall blocks come from their
+    small Gram matrices, ``|X| = sqrt(lambda_max(X*X))``.
     """
     v, e, q = emb.v_scale, emb.E, emb.Q
     rest = e[emb.width:]
@@ -215,7 +218,7 @@ def validate_class_q(emb: ShiftEmbedding, eps: float = DEFAULT_EPS) -> ClassQRep
     r_gram = opnorm(q @ gram - gram @ q)
     qq = adjoint(q) @ q
     r_quasi = opnorm(q @ qq - qq @ q)
-    ne, nq = _gram_norm(gram), opnorm(q)
+    ne, nq = _gram_norm(gram), _gram_norm(qq)
     checks = (
         AxiomCheck("v_isometry", r_iso, eps),
         AxiomCheck("ve_orthogonal", r_orth, eps * (1.0 + ne)),
@@ -226,26 +229,18 @@ def validate_class_q(emb: ShiftEmbedding, eps: float = DEFAULT_EPS) -> ClassQRep
 
 
 def build_from_pair(pair: PairModel, levels: int, eps: float = DEFAULT_EPS) -> ShiftEmbedding:
-    """Embed a commuting positive pair as a shift model with Q := A, |E| = B.
+    """Embed a commuting positive pair as a shift model with Q := A, E := [B; 0].
 
-    E is U.B where U is a partial isometry carrying the range of B onto the
-    matching basis vectors of layer 0; the layer width equals dim H2, so the
-    built model always has ``width == d``.
+    B fills layer 0, so ``|E| = B`` and no matrix is factored; the layer
+    width equals dim H2, so the built model always has ``width == d``.  The
+    pair was tested when it was made; ``eps`` is accepted and not used.
     """
     if levels < 1:
         raise ValueError("need at least one interior layer")
     d = pair.dim
-    if pair.is_diagonal:
-        level0 = np.diag(np.asarray(pair.b, dtype=complex))
-        q = np.diag(np.asarray(pair.a, dtype=complex))
-    else:
-        eig = linalg.hermitian_eig(pair.B, eps)
-        vals = linalg.clamp_spectrum(eig.eigenvalues, scale=1.0 + opnorm(pair.B))
-        kept = np.where(vals > 0.0, vals, 0.0)
-        level0 = np.diag(kept.astype(complex)) @ adjoint(eig.eigenvectors)
-        q = pair.A.astype(complex)
-    e = np.vstack([level0, np.zeros((levels * d, d), dtype=complex)])
-    return ShiftEmbedding(levels, d, e, q)
+    a, b = pair.matrices()
+    e = np.vstack([b, np.zeros((levels * d, d), dtype=complex)])
+    return ShiftEmbedding(levels, d, e, np.array(a, dtype=complex))
 
 
 def realize_spectrum(gamma, levels: int) -> ShiftEmbedding:
@@ -254,13 +249,8 @@ def realize_spectrum(gamma, levels: int) -> ShiftEmbedding:
     ``gamma`` may be a :class:`JointSpectrum` or an iterable of ``(s, t)``
     pairs / :class:`SpectralPoint`; multiplicities are realized by repetition.
     """
-    if isinstance(gamma, JointSpectrum):
-        pts = gamma.points
-    else:
-        pts = tuple(jointspec._coerce_point(p) for p in gamma)
-    coords: list[tuple[float, float]] = []
-    for p in pts:
-        coords.extend([(p.s, p.t)] * p.mult)
+    pts = gamma.points if isinstance(gamma, JointSpectrum) else map(jointspec._coerce_point, gamma)
+    coords = [(p.s, p.t) for p in pts for _ in range(p.mult)]
     if not coords:
         raise EmptyGamma("cannot realize an empty spectrum")
     a = [_clamp_coord(s, "s") for s, _ in coords]
@@ -302,11 +292,8 @@ def _grams(model) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(model, ShiftEmbedding):
         return model.e_gram(), adjoint(model.Q) @ model.Q
     if isinstance(model, PairModel):
-        if model.is_diagonal:
-            a = np.asarray(model.a, dtype=float)
-            b = np.asarray(model.b, dtype=float)
-            return np.diag((b * b).astype(complex)), np.diag((a * a).astype(complex))
-        return model.B @ model.B, model.A @ model.A
+        a, b = model.matrices()
+        return adjoint(b) @ b, adjoint(a) @ a
     raise TypeError(f"cannot take grams of {type(model).__name__}")
 
 

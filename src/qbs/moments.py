@@ -139,9 +139,10 @@ def stieltjes_oracle(gamma, k: int, eps: float = DEFAULT_EPS) -> OracleResult:
     """Truncated Stieltjes test at order k.
 
     PASS when the Hankel matrix [gamma_{i+j}] and its shift [gamma_{i+j+1}]
-    (size (k+1) x (k+1)) are both PSD at relative tolerance eps * (1 + |H|).
-    FAIL carries the offending matrix and its smallest eigenvalue.  Needs at
-    least 2k + 2 entries.
+    (size (k+1) x (k+1)) are both PSD by :func:`linalg.psd_spectrum`, read
+    off one ``eigvalsh`` per matrix (both are real symmetric by
+    construction).  FAIL carries the offending matrix and its smallest
+    eigenvalue.  Needs at least 2k + 2 entries.
     """
     g = _as_gamma(gamma)
     if k < 0:
@@ -150,8 +151,9 @@ def stieltjes_oracle(gamma, k: int, eps: float = DEFAULT_EPS) -> OracleResult:
         raise InsufficientLength(f"order {k} needs {2 * k + 2} moments, got {len(g)}")
     for which, shift in (("hankel", 0), ("shifted", 1)):
         h = _hankel(g, k, shift)
-        if not linalg.is_psd(h, eps):
-            return OracleResult(False, k, HankelWitness(which, h, linalg.min_eigenvalue(h)))
+        w = np.linalg.eigvalsh(h)
+        if not linalg.psd_spectrum(w, eps):
+            return OracleResult(False, k, HankelWitness(which, h, float(w[0])))
     return OracleResult(True, k)
 
 

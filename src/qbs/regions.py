@@ -234,6 +234,7 @@ class BrownianReport:
     quasi_brownian: bool
     brownian: bool
     violators: tuple[SpectralPoint, ...]
+    decomposition: BrownianDecomposition | None = None
 
 
 @dataclass(frozen=True)
@@ -284,7 +285,8 @@ def _split_atoms(m: AtomModel, eps: float) -> BrownianDecomposition:
         elif CIRCLE.test(at.s, at.t, eps):
             h_si.append(at)
         else:
-            # unreachable once the quasi-Brownian test passed
+            # an atom merged into a spectral point on the band: shift atoms at
+            # s = 1 and 1 + 5e-9 (t = 0.5) are one point, the second off the band
             other.append(at)
     return BrownianDecomposition(tuple(h_u), tuple(h_s), tuple(h_si),
                                  tuple(other), tuple(flags))
@@ -298,7 +300,8 @@ def classify_brownian(m: AtomModel, eps: float = DEFAULT_EPS) -> BrownianReport:
     s^2 + t^2 = 1 or r = 1 within eps.  The structural route (no shift atom
     carries |E| weight) is evaluated as well; the two must agree, otherwise
     the input sits on an ambiguous eps band and
-    :class:`BrownianCriteriaMismatch` is raised.
+    :class:`BrownianCriteriaMismatch` is raised.  The report carries the
+    structural split of a quasi-Brownian model (None otherwise).
 
     A plain pair model cannot answer the Brownian question: it decides
     quasi-Brownian only, the |Q*| data lives in the atoms.
@@ -315,12 +318,11 @@ def classify_brownian(m: AtomModel, eps: float = DEFAULT_EPS) -> BrownianReport:
     off = tuple(p for p in three.points
                 if not (CIRCLE.test(p.s, p.t, eps) or LINE.test(p.r, p.t, eps)))
     spectral = quasi and not off
-    if quasi:
-        structural = not _split_atoms(m, eps).shift_flags
-        if structural != spectral:
-            raise BrownianCriteriaMismatch(
-                "spectral and structural Brownian tests disagree; the model "
-                "sits on an eps-band overlap between the line s = 1 and the "
-                "unit circle"
-            )
-    return BrownianReport(quasi, spectral, quasi_report.violators + off)
+    dec = _split_atoms(m, eps) if quasi else None
+    if dec is not None and (not dec.shift_flags) != spectral:
+        raise BrownianCriteriaMismatch(
+            "spectral and structural Brownian tests disagree; the model "
+            "sits on an eps-band overlap between the line s = 1 and the "
+            "unit circle"
+        )
+    return BrownianReport(quasi, spectral, quasi_report.violators + off, dec)

@@ -115,6 +115,24 @@ def test_brownian_unitary_atom(tmp_path, capsys):
     assert doc["decomposition"]["h_u"] and not doc["decomposition"]["shift_flags"]
 
 
+def test_brownian_job_builds_the_atom_spectra_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    original = qbs.model.atom_spectra
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (qbs.model, qbs.regions, cli):
+        monkeypatch.setattr(module, "atom_spectra", counted)
+    quasi = [(qbs.AtomKind.SHIFT, 1.0, 0.5), (qbs.AtomKind.UNITARY, 0.6, 0.8)]
+    for atoms, has_decomposition in ((quasi, True), ([(qbs.AtomKind.UNITARY, 0.5, 0.2)], False)):
+        calls.clear()
+        code, out, _ = run(capsys, "classify", write_atoms(tmp_path, atoms), "--brownian")
+        assert code == 1 and len(calls) == 1
+        assert ("decomposition" in json.loads(out)) is has_decomposition
+
+
 def test_brownian_needs_atom_model(tmp_path, capsys):
     model = write_pair(tmp_path, [0.6], [0.8])
     code, _, err = run(capsys, "classify", model, "--brownian")
@@ -134,6 +152,24 @@ def test_realize_writes_loadable_model(tmp_path, capsys):
     assert isinstance(model, qbs.ShiftEmbedding) and eps is None
     sigma = qbs.joint_spectrum(model)
     assert [(p.s, p.t, p.mult) for p in sigma] == [(0.6, 0.8, 1), (1.0, 1.0, 2)]
+
+
+def test_realize_bounds_the_embedding_before_building_it(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    for argv in (("--points", "0.5,0.5,100000"), ("--points", "0.5,0.5,3000", "--levels", "1000")):
+        code, text, err = run(capsys, "realize", *argv, "--out", str(out))
+        assert (code, text) == (2, "") and str(cli.MAX_EMBEDDING_ENTRIES) in err
+        assert not out.exists()
+    # the largest embeddings in use, d = 400 at levels 6, stay inside the cap
+    assert 7 * 400 ** 2 <= cli.MAX_EMBEDDING_ENTRIES
+
+
+def test_dual_bounds_the_embedding_of_a_pair(tmp_path, capsys):
+    out = tmp_path / "d.json"
+    pair = write_pair(tmp_path, [1.2] * 3000, [0.9] * 3000)
+    code, text, err = run(capsys, "dual", pair, "--levels", "1", "--out", str(out))
+    assert (code, text) == (2, "") and str(cli.MAX_EMBEDDING_ENTRIES) in err
+    assert not out.exists()
 
 
 def test_realize_bad_points(tmp_path, capsys):
@@ -392,6 +428,31 @@ def test_eps_flag_beats_file(tmp_path, capsys, monkeypatch):
     code, _, _ = run(capsys, "classify", model, "--region", "subnormal",
                      "--eps", "1e-9")
     assert code == 1
+
+
+def write_near_commuting(tmp_path, eps=None):
+    """A dense pair whose commutator has norm 2e-8: past the default eps, inside 1e-6."""
+    path = tmp_path / "near.json"
+    a, b = np.diag([1.0, 2.0]), np.array([[1.0, 2e-8], [2e-8, 1.0]])
+    model_io.save_model(qbs.PairModel.from_matrices(a, b, eps=1e-6), path, eps=eps)
+    return str(path)
+
+
+@pytest.mark.parametrize("source", ["file", "flag", "env"])
+def test_matrix_pair_is_read_at_the_resolved_eps(tmp_path, capsys, monkeypatch, source):
+    monkeypatch.delenv("QBS_EPS", raising=False)
+    model = write_near_commuting(tmp_path, eps=1e-6 if source == "file" else None)
+    argv = ["classify", model, "--region", "expansion"]
+    code, out, err = run(capsys, *argv)
+    if source != "file":
+        assert (code, out) == (2, "") and "1e-09" in err
+    argv += ["--eps", "1e-6"] if source == "flag" else []
+    if source == "env":
+        monkeypatch.setenv("QBS_EPS", "1e-6")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["verdict"] is True
+    code, out, err = run(capsys, *argv, "--eps", "1e-12")
+    assert (code, out) == (2, "") and "1e-12" in err
 
 
 def test_bad_env_eps_is_an_error(tmp_path, capsys, monkeypatch):

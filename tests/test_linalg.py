@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbs import linalg
-from qbs.errors import CommutatorTooLarge, NonHermitianInput
+from qbs.errors import CommutatorTooLarge, DimensionMismatch, NonHermitianInput
 
 
 def test_opnorm_matches_largest_singular_value():
@@ -37,7 +37,7 @@ def test_modulus_is_psd_and_norm_preserving(seed):
     m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     mod = linalg.modulus(m)
     assert linalg.hermitian_defect(mod) <= 1e-12
-    assert linalg.min_eigenvalue(mod) >= -1e-10
+    assert np.linalg.eigvalsh(mod)[0] >= -1e-10
     assert linalg.opnorm(mod) == pytest.approx(linalg.opnorm(m), abs=1e-9)
 
 
@@ -108,3 +108,16 @@ def test_simultaneous_diagonalize_rejects_noncommuting():
     b = np.array([[1.0, 0.5], [0.5, 1.0]])
     with pytest.raises(CommutatorTooLarge):
         linalg.simultaneous_diagonalize(a, b)
+
+
+def test_simultaneous_diagonalize_rejects_mismatched_shapes():
+    for a, b in ((np.eye(2), np.eye(3)), (np.ones((2, 3)), np.ones((2, 3)))):
+        with pytest.raises(DimensionMismatch):
+            linalg.simultaneous_diagonalize(a, b)
+
+
+def test_psd_spectrum_is_relative_to_the_largest_eigenvalue():
+    assert linalg.psd_spectrum([1e6, -1e-4]) and not linalg.psd_spectrum([1e6, -1e-2])
+    assert linalg.psd_spectrum([0.7, -1e-10, 0.2])  # any order
+    assert not linalg.psd_spectrum([0.7, -1e-3, 0.2])
+    assert linalg.psd_spectrum([])

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qbs
 from qbs.errors import (
@@ -73,6 +75,36 @@ def test_build_from_matrix_pair_satisfies_axioms_and_spectrum():
     assert qbs.validate_class_q(emb).verdict
     got = sorted((round(p.s, 8), round(p.t, 8)) for p in qbs.joint_spectrum(emb).points)
     assert got == [(0.4, 0.7), (0.9, 0.0), (1.1, 0.2)]
+
+
+# Eigenvalues drawn from a coarse pool repeat and include 0, and the pool's
+# spacing keeps distinct points far outside the 1e-8 merge distance.
+_POOL = st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 1.5])
+
+
+def _by_rounded_point(sigma):
+    # sorted by coordinates rounded far above roundoff, which a roundoff-sized s cannot reorder
+    keys = zip(np.round(sigma.s, 6).tolist(), np.round(sigma.t, 6).tolist(), sigma.mult.tolist())
+    return sorted(zip(keys, zip(sigma.s.tolist(), sigma.t.tolist())))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_embedding_of_a_dense_pair_reads_back_the_pair_spectrum(data):
+    n = data.draw(st.integers(1, 6))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    u = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    s, t = (np.array(data.draw(st.lists(_POOL, min_size=n, max_size=n))) for _ in range(2))
+    pair = qbs.PairModel.from_matrices((u * s) @ u.conj().T, (u * t) @ u.conj().T)
+    want = _by_rounded_point(qbs.joint_spectrum(pair))
+    # E = [B; 0], read back through the Gram route (Q*Q, E*E)
+    got = _by_rounded_point(qbs.joint_spectrum(qbs.build_from_pair(pair, levels=2)))
+    assert [key for key, _ in got] == [key for key, _ in want]  # points and multiplicities
+    # roundoff of unit-scale data: 1e-9 is about 1e7 units in the last place
+    np.testing.assert_allclose([xy for _, xy in got], [xy for _, xy in want], rtol=0.0, atol=1e-9)
+    t[0] = -1e-3
+    with pytest.raises(NotPositiveSemidefinite):
+        qbs.PairModel.from_matrices((u * s) @ u.conj().T, (u * t) @ u.conj().T)
 
 
 def test_validate_detects_tampered_entries():

@@ -261,6 +261,15 @@ def test_brownian_decomposition_buckets():
     assert [a.t for a in dec.shift_flags] == [0.5]
 
 
+def test_atom_merged_into_a_band_point_is_unclassifiable():
+    # 1 + 5e-9 is one spectral point with s = 1 (dedup_tol 1e-8) but off the eps band
+    m = _atoms((qbs.AtomKind.SHIFT, 1.0, 0.5), (qbs.AtomKind.SHIFT, 1.0 + 5e-9, 0.5))
+    report = qbs.classify_brownian(m)
+    assert report.quasi_brownian and not report.brownian
+    dec = report.decomposition
+    assert [a.s for a in dec.h_s] == [1.0] and [a.s for a in dec.unclassifiable] == [1.0 + 5e-9]
+
+
 def test_brownian_decomposition_needs_quasi():
     with pytest.raises(NotQuasiBrownian):
         qbs.brownian_decomposition(_atoms((qbs.AtomKind.UNITARY, 0.5, 0.2)))
