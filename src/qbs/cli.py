@@ -96,6 +96,8 @@ def _parse_points(text: str) -> list[tuple[float, float, int]]:
             mult = int(fields[2]) if len(fields) == 3 else 1
         except ValueError:
             raise QbsError(f"cannot parse point {chunk!r}") from None
+        if mult < 1:
+            raise QbsError(f"point {chunk!r} has multiplicity {mult}; it must be at least 1")
         points.append((s, t, mult))
     if not points:
         raise QbsError("no points given")
@@ -130,7 +132,8 @@ def _cmd_classify(args) -> int:
         report = regions.classify_brownian(model, eps)
         doc = {"quasi_brownian": report.quasi_brownian,
                "brownian": report.brownian,
-               "violators": model_io.points_to_json(report.violators)}
+               "violators": (model_io.points_to_json(report.violators_2d)
+                             + model_io.points_to_json(report.violators_3d))}
         if report.decomposition is not None:
             doc["decomposition"] = {key: list(map(model_io.atom_to_json,
                                                   getattr(report.decomposition, key)))
@@ -145,17 +148,17 @@ def _cmd_classify(args) -> int:
     doc = {"region": region.token,
            "alias": region.alias,
            "verdict": report.verdict,
-           "points": model_io.points_to_json(p for p, _ in report.per_point),
+           "points": model_io.points_to_json(sigma),
            "violators": model_io.points_to_json(report.violators)}
-    for point, (_, status) in zip(doc["points"], report.per_point):
-        point["status"] = status
+    for point, status in zip(doc["points"], report.status.tolist()):
+        point["status"] = regions.STATUSES[status]
     _emit(doc)
     return 0 if report.verdict else 1
 
 
 def _cmd_realize(args) -> int:
     points = [jointspec.SpectralPoint(s, t, mult=m) for s, t, m in _parse_points(args.points)]
-    levels = _embedding_levels(args.levels, sum(max(p.mult, 0) for p in points))
+    levels = _embedding_levels(args.levels, sum(p.mult for p in points))
     eps = _resolve_eps(args.eps, None)
     emb = realize_spectrum(points, levels=levels)
     model_io.save_model(emb, args.out, eps=args.eps)

@@ -45,10 +45,10 @@ def cauchy_dual(emb: model.ShiftEmbedding, eps: float = DEFAULT_EPS) -> model.Sh
 
 def dual_spectral_map(sigma: JointSpectrum) -> JointSpectrum:
     """Image of a spectrum under the dual inversion psi(s,t) = (s,t)/(s^2+t^2)."""
-    if not sigma.points or jointspec.inner_radius(sigma) <= 0.0:
+    if not len(sigma) or jointspec.inner_radius(sigma) <= 0.0:
         raise NotLeftInvertible("the dual map needs a spectrum away from the origin")
 
-    def psi(s: float, t: float) -> tuple[float, float]:
+    def psi(s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rr = s * s + t * t
         return s / rr, t / rr
 

@@ -26,12 +26,11 @@ import json
 import math
 from itertools import chain
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
 from .errors import ModelFormatError
-from .jointspec import SpectralPoint, format_float, format_floats
+from .jointspec import JointSpectrum, format_float, format_floats
 from .linalg import DEFAULT_EPS
 from .model import AtomKind, AtomModel, PairModel, QAtom, ShiftEmbedding
 
@@ -111,16 +110,13 @@ def _matrix_json(a: np.ndarray) -> list[list[list[str]]]:
     return [pairs[i * width:(i + 1) * width] for i in range(a.shape[0])]
 
 
-def points_to_json(points: Iterable[SpectralPoint]) -> list[dict]:
-    """JSON objects of spectral points: ``s``, ``t``, ``r`` if present, ``mult`` if not 1."""
-    points = tuple(points)
-    docs = [{"s": s, "t": t} for s, t in zip(format_floats([p.s for p in points]),
-                                             format_floats([p.t for p in points]))]
-    for doc, p in zip(docs, points):
-        if p.r is not None:
-            doc["r"] = format_float(p.r)
-        if p.mult != 1:
-            doc["mult"] = p.mult
+def points_to_json(sigma: JointSpectrum) -> list[dict]:
+    """JSON objects of a spectrum's points: ``s``, ``t``, ``r`` if present, ``mult`` if not 1."""
+    columns = [format_floats(x) for x in (sigma.s, sigma.t, sigma.r) if x is not None]
+    docs = [dict(zip(("s", "t", "r"), row)) for row in zip(*columns)]
+    for doc, mult in zip(docs, sigma.mult.tolist()):
+        if mult != 1:
+            doc["mult"] = mult
     return docs
 
 

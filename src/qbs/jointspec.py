@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -51,8 +51,16 @@ def _row(p) -> tuple:
     return vals[0], vals[1], vals[2] if len(vals) == 3 else None, 1
 
 
-def _coerce_point(p) -> SpectralPoint:
-    return p if isinstance(p, SpectralPoint) else SpectralPoint(*_row(p))
+def _counts(mult) -> list[int]:
+    """Multiplicities as ints: whole numbers >= 1 (``2.0`` is 2) adding up below 2**63."""
+    m = np.asarray(mult)
+    whole = m.dtype.kind != "f" or (np.isfinite(m) & (m == np.floor(m))).all()
+    if not (whole and (m >= 1).all()):
+        raise ValueError("multiplicities must be whole numbers >= 1")
+    counts = list(map(int, m.tolist()))
+    if sum(counts) >= 2 ** 63:
+        raise ValueError("the multiplicities add up beyond 2**63 - 1")
+    return counts
 
 
 def _clamped(value, tol: float, what: str) -> float:
@@ -148,84 +156,81 @@ def _join(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             root = up
 
 
-@dataclass(frozen=True)
 class JointSpectrum:
     """Finite multiset of spectral points, deduplicated on construction.
 
-    Points joined by a chain of steps, each at most ``dedup_tol`` in every
-    coordinate, are one cluster.  A cluster keeps its lexicographically
-    smallest point (by ``(s, t, r)``), not the first one read in, and the sum
-    of the multiplicities, so the result does not depend on the input order.
-    Points come out sorted by ``(s, t, r)``; the arrays ``s``, ``t``, ``r``
-    (``None`` without an r coordinate) and ``mult`` hold the same data.
-    Coordinates in ``[-dedup_tol, 0)`` are clamped to 0; anything more
-    negative raises :class:`NegativeCoordinate`, and NaN or an infinity raises
-    ``ValueError``.  Either every point carries an ``r`` coordinate or none
-    does.
+    The data are the read-only arrays ``s``, ``t``, ``r`` (``None`` without an
+    r coordinate) and ``mult``, sorted by ``(s, t, r)``; ``points`` is a view
+    of them as :class:`SpectralPoint` objects, built on first use.  Points
+    (``JointSpectrum(points)``) and columns (:meth:`from_arrays`) pass one
+    validation.  Points joined by a chain of steps, each at most ``dedup_tol``
+    in every coordinate, are one cluster, which keeps its lexicographically
+    smallest point and the sum of the multiplicities, so the result does not
+    depend on the input order.  Coordinates in ``[-dedup_tol, 0)`` are clamped
+    to 0 and more negative ones raise :class:`NegativeCoordinate`; NaN, an
+    infinity, a multiplicity that is not a whole number >= 1, or ``r`` on only
+    some points raise ``ValueError``.
     """
 
-    points: tuple[SpectralPoint, ...]
-    dedup_tol: float = DEDUP_TOL
-
-    def __post_init__(self) -> None:
-        tol = float(self.dedup_tol)
-        if not (math.isfinite(tol) and tol >= 0.0):
-            raise ValueError(f"dedup_tol = {tol!r} is not a finite nonnegative tolerance")
-        rows = [_row(p) for p in self.points]
-        missing = sum(r is None for _, _, r, _ in rows)
+    def __init__(self, points: Iterable = (), dedup_tol: float = DEDUP_TOL) -> None:
+        rows = [_row(p) for p in points]
+        s, t, r, mult = zip(*rows) if rows else ((),) * 4
+        missing = r.count(None)
         if 0 < missing < len(rows):
             raise ValueError("either every point carries r or none does")
-        with_r = bool(rows) and not missing
-        if any(m < 1 for *_, m in rows):
-            raise ValueError("multiplicities must be positive")
-        counts = [int(m) for *_, m in rows]
-        if sum(counts) >= 2 ** 63:
-            raise ValueError("the multiplicities add up beyond 2**63 - 1")
-        names = ("s", "t", "r") if with_r else ("s", "t")
-        tols = (tol,) * len(names)
-        keys = [tuple(map(_clamped, row, tols, names)) for row in rows]
-        keys, counts = _merge(keys, counts, tol)
-        points = tuple(SpectralPoint(k[0], k[1], k[2] if with_r else None, c)
-                       for k, c in zip(keys, counts))
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "dedup_tol", tol)
+        self._build((s, t) if missing or not rows else (s, t, r), mult, dedup_tol)
+
+    @classmethod
+    def from_arrays(cls, s, t, r=None, mult=None, dedup_tol: float = DEDUP_TOL) -> "JointSpectrum":
+        """The spectrum of coordinate columns; ``mult`` is 1 everywhere when omitted."""
+        sigma = cls.__new__(cls)
+        sigma._build((s, t) if r is None else (s, t, r), mult, dedup_tol)
+        return sigma
+
+    def _build(self, columns: tuple, mult, dedup_tol: float) -> None:
+        tol = float(dedup_tol)
+        if not (math.isfinite(tol) and tol >= 0.0):
+            raise ValueError(f"dedup_tol = {tol!r} is not a finite nonnegative tolerance")
+        x = np.array(columns, dtype=float)
+        counts = [1] * x.shape[1] if mult is None else _counts(mult)
+        if len(counts) != x.shape[1]:
+            raise ValueError(f"{len(counts)} multiplicities for {x.shape[1]} points")
+        if x.size and not (x.min() >= -tol and x.max() < math.inf):
+            # walked only to name the first bad entry
+            for row in x.T.tolist():
+                list(map(_clamped, row, repeat(tol), ("s", "t", "r")))
+        x = np.where(x > 0.0, x, 0.0)  # also turns -0.0 into 0.0
+        keys, counts = _merge(list(zip(*x.tolist())), counts, tol)
+        self._set(np.array(keys, dtype=float).reshape(len(keys), len(x)).T,
+                  np.array(counts, dtype=np.int64), tol)
+
+    def _set(self, x: np.ndarray, mult: np.ndarray, tol: float) -> None:
+        x.flags.writeable = mult.flags.writeable = False
+        self._x, self.mult, self.dedup_tol = x, mult, tol
+        self.s, self.t = x[0], x[1]
+        self.r = x[2] if len(x) == 3 and len(mult) else None
+
+    def take(self, rows) -> "JointSpectrum":
+        """The points at ``rows`` (a mask or indices), in order; being apart already, none merge."""
+        part = JointSpectrum.__new__(JointSpectrum)
+        part._set(self._x[:, rows], self.mult[rows], self.dedup_tol)
+        return part
+
+    @cached_property
+    def points(self) -> tuple[SpectralPoint, ...]:
+        """The points as :class:`SpectralPoint` objects, built on first use."""
+        r = repeat(None) if self.r is None else self.r.tolist()
+        return tuple(map(SpectralPoint, self.s.tolist(), self.t.tolist(), r, self.mult.tolist()))
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.mult)
 
     def __iter__(self):
         return iter(self.points)
 
     @property
     def has_r(self) -> bool:
-        return bool(self.points) and self.points[0].r is not None
-
-    # Each array is built on first use and kept; it is read-only.
-    @cached_property
-    def s(self) -> np.ndarray:
-        """The ``s`` coordinates, in the order of ``points``."""
-        return _frozen_array([p.s for p in self.points], float)
-
-    @cached_property
-    def t(self) -> np.ndarray:
-        """The ``t`` coordinates, in the order of ``points``."""
-        return _frozen_array([p.t for p in self.points], float)
-
-    @cached_property
-    def r(self) -> np.ndarray | None:
-        """The ``r`` coordinates, or ``None`` when the points carry none."""
-        return _frozen_array([p.r for p in self.points], float) if self.has_r else None
-
-    @cached_property
-    def mult(self) -> np.ndarray:
-        """The multiplicities, in the order of ``points``."""
-        return _frozen_array([p.mult for p in self.points], np.int64)
-
-
-def _frozen_array(values: list, dtype) -> np.ndarray:
-    a = np.array(values, dtype=dtype)
-    a.flags.writeable = False
-    return a
+        return self.r is not None
 
 
 def joint_spectrum(pair_or_embedding, dedup_tol: float = DEDUP_TOL,
@@ -247,40 +252,41 @@ def joint_spectrum(pair_or_embedding, dedup_tol: float = DEDUP_TOL,
         s, t = obj.a, obj.b
     else:
         raise TypeError(f"cannot read a commuting pair from {type(obj).__name__}")
-    return JointSpectrum(tuple(map(SpectralPoint, map(float, s), map(float, t))), dedup_tol)
+    return JointSpectrum.from_arrays(s, t, dedup_tol=dedup_tol)
 
 
 def spectral_map(sigma: JointSpectrum,
-                 psi: Callable[[float, float], tuple[float, float]]) -> JointSpectrum:
+                 psi: Callable[[np.ndarray, np.ndarray], tuple]) -> JointSpectrum:
     """Image of the spectrum under a map of the two leading coordinates.
 
-    Multiplicities of points that collide are added; an ``r`` coordinate, if
-    present, is dropped.  Raises :class:`ImageOutsideQuadrant` when an image
-    coordinate is below ``-dedup_tol``.
+    ``psi(s, t)`` receives the coordinate arrays and returns the two image
+    coordinates, elementwise (every map in this package is arithmetic on
+    them).  Multiplicities of points that collide are added; an ``r``
+    coordinate, if present, is dropped.  The first point whose image is not
+    finite raises ``ValueError``, or :class:`ImageOutsideQuadrant` when an
+    image coordinate is below ``-dedup_tol``.
     """
-    out = []
-    for p in sigma.points:
-        x, y = (float(v) for v in psi(p.s, p.t))
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValueError(f"map is not finite at ({p.s!r}, {p.t!r})")
-        if min(x, y) < -sigma.dedup_tol:
-            raise ImageOutsideQuadrant(
-                f"psi({p.s!r}, {p.t!r}) = ({x!r}, {y!r}) leaves the positive quadrant"
-            )
-        out.append(SpectralPoint(max(x, 0.0), max(y, 0.0), None, p.mult))
-    return JointSpectrum(tuple(out), sigma.dedup_tol)
+    x, y = (np.asarray(v, dtype=float) for v in psi(sigma.s, sigma.t))
+    bad = ~(np.isfinite(x) & np.isfinite(y)) | (np.minimum(x, y) < -sigma.dedup_tol)
+    if bad.any():
+        s, t, xi, yi = (float(v[bad.argmax()]) for v in (sigma.s, sigma.t, x, y))
+        if not (math.isfinite(xi) and math.isfinite(yi)):
+            raise ValueError(f"map is not finite at ({s!r}, {t!r})")
+        raise ImageOutsideQuadrant(
+            f"psi({s!r}, {t!r}) = ({xi!r}, {yi!r}) leaves the positive quadrant")
+    return JointSpectrum.from_arrays(x, y, None, sigma.mult, sigma.dedup_tol)
 
 
 def radius(sigma: JointSpectrum) -> float:
     """Joint spectral radius ``max sqrt(s^2 + t^2)``."""
-    if not sigma.points:
+    if not len(sigma):
         raise EmptySpectrum("radius of an empty spectrum")
     return max(map(math.hypot, sigma.s.tolist(), sigma.t.tolist()))
 
 
 def inner_radius(sigma: JointSpectrum) -> float:
     """Distance of the spectrum from the origin, ``min sqrt(s^2 + t^2)``."""
-    if not sigma.points:
+    if not len(sigma):
         raise EmptySpectrum("inner radius of an empty spectrum")
     return min(map(math.hypot, sigma.s.tolist(), sigma.t.tolist()))
 
@@ -292,7 +298,11 @@ def union(first: JointSpectrum, second: JointSpectrum) -> JointSpectrum:
     merged, so the union uses the larger tolerance.
     """
     tol = max(first.dedup_tol, second.dedup_tol)
-    return JointSpectrum(first.points + second.points, tol)
+    parts = [x for x in (first, second) if len(x)] or [first]
+    if len({x.has_r for x in parts}) > 1:
+        raise ValueError("either every point carries r or none does")
+    return JointSpectrum.from_arrays(*np.concatenate([x._x for x in parts], axis=1),
+                                     mult=np.concatenate([x.mult for x in parts]), dedup_tol=tol)
 
 
 def product_vanishes(sigma: JointSpectrum, eps: float = linalg.DEFAULT_EPS) -> bool:
@@ -314,7 +324,7 @@ def projections(sigma: JointSpectrum) -> tuple[tuple[float, ...], tuple[float, .
     values split where neighbours are more than ``dedup_tol`` apart, and each
     run keeps its smallest value.
     """
-    if not sigma.points:
+    if not len(sigma):
         raise EmptySpectrum("projections of an empty spectrum")
     return _run_starts(sigma.s, sigma.dedup_tol), _run_starts(sigma.t, sigma.dedup_tol)
 
@@ -331,10 +341,7 @@ def format_floats(values) -> list[str]:
 
 def spectrum_to_csv(sigma: JointSpectrum) -> str:
     """CSV export, one point per line, 17 significant digits."""
-    cols = [format_floats(sigma.s), format_floats(sigma.t)]
-    if sigma.has_r:
-        cols.append(format_floats(sigma.r))
-    cols.append(map(str, sigma.mult.tolist()))
+    cols = [*map(format_floats, sigma._x), map(str, sigma.mult.tolist())]
     header = "s,t,r,mult" if sigma.has_r else "s,t,mult"
     return "\n".join([header, *map(",".join, zip(*cols))]) + "\n"
 
@@ -346,16 +353,11 @@ def spectrum_from_csv(text: str, dedup_tol: float = DEDUP_TOL) -> JointSpectrum:
     header = [h.strip() for h in lines[0].split(",")]
     if header not in (["s", "t", "mult"], ["s", "t", "r", "mult"]):
         raise ValueError(f"unrecognized spectrum CSV header: {lines[0]!r}")
-    with_r = len(header) == 4
-    pts = []
+    rows = []
     for ln in lines[1:]:
         cells = [c.strip() for c in ln.split(",")]
         if len(cells) != len(header):
             raise ValueError(f"spectrum CSV row has {len(cells)} cells, expected {len(header)}")
-        if with_r:
-            pts.append(SpectralPoint(float(cells[0]), float(cells[1]),
-                                     float(cells[2]), int(cells[3])))
-        else:
-            pts.append(SpectralPoint(float(cells[0]), float(cells[1]),
-                                     None, int(cells[2])))
-    return JointSpectrum(tuple(pts), dedup_tol)
+        rows.append((*map(float, cells[:-1]), int(cells[-1])))
+    cols = list(zip(*rows)) or [()] * len(header)
+    return JointSpectrum.from_arrays(*cols[:-1], mult=cols[-1], dedup_tol=dedup_tol)

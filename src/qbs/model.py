@@ -37,7 +37,7 @@ from .errors import (
     NegativeCoordinate,
     NotPositiveSemidefinite,
 )
-from .jointspec import DEDUP_TOL, JointSpectrum, SpectralPoint
+from .jointspec import DEDUP_TOL, JointSpectrum
 from .linalg import DEFAULT_EPS, adjoint, as_matrix, opnorm
 
 _COORD_FLOOR = 1e-10  # roundoff negatives this small are clamped to zero
@@ -247,15 +247,15 @@ def realize_spectrum(gamma, levels: int) -> ShiftEmbedding:
     """Shift embedding whose modulus pair has joint spectrum ``gamma``.
 
     ``gamma`` may be a :class:`JointSpectrum` or an iterable of ``(s, t)``
-    pairs / :class:`SpectralPoint`; multiplicities are realized by repetition.
+    pairs / :class:`SpectralPoint`; multiplicities (whole numbers >= 1) are
+    realized by repetition, in the input order.
     """
-    pts = gamma.points if isinstance(gamma, JointSpectrum) else map(jointspec._coerce_point, gamma)
-    coords = [(p.s, p.t) for p in pts for _ in range(p.mult)]
-    if not coords:
+    rows = [jointspec._row(p) for p in gamma]
+    s, t, _, mult = zip(*rows) if rows else ((),) * 4
+    mult = jointspec._counts(mult)
+    if not s:
         raise EmptyGamma("cannot realize an empty spectrum")
-    a = [_clamp_coord(s, "s") for s, _ in coords]
-    b = [_clamp_coord(t, "t") for _, t in coords]
-    return build_from_pair(PairModel.from_diagonal(a, b), levels)
+    return build_from_pair(PairModel.from_diagonal(np.repeat(s, mult), np.repeat(t, mult)), levels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -408,11 +408,9 @@ def atom_spectra(m: AtomModel, dedup_tol: float = DEDUP_TOL) -> tuple[JointSpect
     A unitary atom has |Q*| = s, so it contributes (s, t, s) only.  A shift
     atom has |Q*| with spectrum {0, s}, contributing (s, t, s) and (s, t, 0).
     """
-    two = []
-    three = []
-    for at in m.atoms:
-        two.append(SpectralPoint(at.s, at.t, None, at.mult))
-        three.append(SpectralPoint(at.s, at.t, at.s, at.mult))
-        if at.kind is AtomKind.SHIFT and at.s > dedup_tol:
-            three.append(SpectralPoint(at.s, at.t, 0.0, at.mult))
-    return JointSpectrum(tuple(two), dedup_tol), JointSpectrum(tuple(three), dedup_tol)
+    s, t, mult = zip(*((at.s, at.t, at.mult) for at in m.atoms))
+    kernel = [(at.s, at.t, 0.0, at.mult) for at in m.atoms  # the 0 in the spectrum of |Q*|
+              if at.kind is AtomKind.SHIFT and at.s > dedup_tol]
+    ks, kt, kr, km = zip(*kernel) if kernel else ((),) * 4
+    return (JointSpectrum.from_arrays(s, t, None, mult, dedup_tol),
+            JointSpectrum.from_arrays(s + ks, t + kt, s + kr, mult + km, dedup_tol))

@@ -13,7 +13,6 @@ closed form over the relevant part of the spectrum:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -28,7 +27,7 @@ from .errors import (
     ENormExceedsOne,
     PreconditionViolated,
 )
-from .jointspec import JointSpectrum, SpectralPoint
+from .jointspec import JointSpectrum
 from .linalg import DEFAULT_EPS
 
 
@@ -65,24 +64,24 @@ class SubnormalityInterval:
         return alpha <= self.beta
 
 
-def sharp_part(sigma: JointSpectrum, eps: float = DEFAULT_EPS) -> tuple[SpectralPoint, ...]:
-    """Points with t > eps (where the E entry acts)."""
-    return tuple(p for p in sigma.points if p.t > eps)
+def sharp_part(sigma: JointSpectrum, eps: float = DEFAULT_EPS) -> JointSpectrum:
+    """The points with t > eps (where the E entry acts), as a spectrum."""
+    return sigma.take(sigma.t > eps)
 
 
-def flat_part(sigma: JointSpectrum, eps: float = DEFAULT_EPS) -> tuple[SpectralPoint, ...]:
-    """Points with both coordinates positive beyond eps."""
-    return tuple(p for p in sigma.points if p.s > eps and p.t > eps)
+def flat_part(sigma: JointSpectrum, eps: float = DEFAULT_EPS) -> JointSpectrum:
+    """The points with both coordinates positive beyond eps, as a spectrum."""
+    return sigma.take((sigma.s > eps) & (sigma.t > eps))
 
 
 def beta_dagger(sigma: JointSpectrum, eps: float = DEFAULT_EPS) -> float:
     """Right endpoint of the E-pencil interval: min sqrt((1-s^2)/t^2) over t > eps."""
     sharp = sharp_part(sigma, eps)
-    if not sharp:
+    if not len(sharp):
         raise EmptySharpPart("the E entry vanishes; every scaling is subnormal")
-    if any(p.s > 1.0 + eps for p in sharp):
+    if (sharp.s > 1.0 + eps).any():
         raise PreconditionViolated("the endpoint formula needs s <= 1 wherever t > 0")
-    return min(math.sqrt(max(1.0 - p.s * p.s, 0.0)) / p.t for p in sharp)
+    return float((np.sqrt(np.maximum(1.0 - sharp.s * sharp.s, 0.0)) / sharp.t).min())
 
 
 def sub_E(sigma: JointSpectrum, eps: float = DEFAULT_EPS) -> SubnormalityInterval:
@@ -92,7 +91,7 @@ def sub_E(sigma: JointSpectrum, eps: float = DEFAULT_EPS) -> SubnormalityInterva
     the E entry vanishes on the spectrum; degenerate {0} when some point with
     t > 0 has s >= 1.
     """
-    if not sigma.points:
+    if not len(sigma):
         raise EmptySpectrum("the pencil needs a nonempty spectrum")
     try:
         return _closed(beta_dagger(sigma, eps))
@@ -104,12 +103,12 @@ def sub_E(sigma: JointSpectrum, eps: float = DEFAULT_EPS) -> SubnormalityInterva
 
 def beta_sub(sigma: JointSpectrum, eps: float = DEFAULT_EPS) -> float:
     """Right endpoint of the Q-pencil interval: min sqrt((1-t^2)/s^2) over s,t > eps."""
-    if any(p.t > 1.0 + eps for p in sigma.points):
+    if (sigma.t > 1.0 + eps).any():
         raise ENormExceedsOne("no Q scaling is subnormal once |E| exceeds 1")
     flat = flat_part(sigma, eps)
-    if not flat:
+    if not len(flat):
         raise EmptyFlatPart("the product |Q||E| vanishes; every scaling is subnormal")
-    return min(math.sqrt(max(1.0 - p.t * p.t, 0.0)) / p.s for p in flat)
+    return float((np.sqrt(np.maximum(1.0 - flat.t * flat.t, 0.0)) / flat.s).min())
 
 
 def sub_Q(sigma: JointSpectrum, eps: float = DEFAULT_EPS) -> SubnormalityInterval:
@@ -119,7 +118,7 @@ def sub_Q(sigma: JointSpectrum, eps: float = DEFAULT_EPS) -> SubnormalityInterva
     coordinates positive (|Q||E| = 0, i.e. EQ = 0); a closed interval
     otherwise.
     """
-    if not sigma.points:
+    if not len(sigma):
         raise EmptySpectrum("the pencil needs a nonempty spectrum")
     try:
         return _closed(beta_sub(sigma, eps))
@@ -149,7 +148,7 @@ def pencil_scan(emb, which: str, alphas: Iterable[float],
     alist = [float(alpha) for alpha in alphas]
     if any(a < 0.0 for a in alist):
         raise ValueError("pencil parameters are nonnegative")
-    if alist and not sigma.points:
+    if alist and not len(sigma):
         raise EmptySpectrum("cannot classify an empty spectrum")
     a = np.array(alist)[:, None]
     scaled = (sigma.s, a * sigma.t) if token == "e" else (a * sigma.s, sigma.t)

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import math
 from itertools import count
-from typing import Iterable, Sequence
+from pathlib import Path
+from typing import Iterable
 
 from .errors import QbsError
-from .jointspec import JointSpectrum, SpectralPoint
+from .jointspec import JointSpectrum
 from .regions import DISK, OFF_DISK, S_GE_1, S_LE_1, RegionId, region_terms
 
 SIZE = 520
@@ -124,27 +125,8 @@ def _axes(f: _Frame) -> list[str]:
     return parts
 
 
-def _coerce_points(points) -> list[SpectralPoint]:
-    if points is None:
-        return []
-    if isinstance(points, JointSpectrum):
-        return list(points.points)
-    out = []
-    for p in points:
-        if isinstance(p, SpectralPoint):
-            out.append(p)
-        else:
-            s, t = float(p[0]), float(p[1])
-            out.append(SpectralPoint(s, t))
-    return out
-
-
-def pick_extent(points: Sequence[SpectralPoint]) -> float:
-    top = 0.0
-    for p in points:
-        top = max(top, p.s, p.t)
-    if top <= 0:
-        return 2.0
+def pick_extent(sigma: JointSpectrum) -> float:
+    top = float(max(sigma.s.max(initial=0.0), sigma.t.max(initial=0.0)))
     scaled = 1.15 * top / 0.5
     # near the largest double the margin overflows; the window then ends at the point
     return top if math.isinf(scaled) else max(2.0, math.ceil(scaled) * 0.5)
@@ -152,23 +134,26 @@ def pick_extent(points: Sequence[SpectralPoint]) -> float:
 
 def render_svg(regions: Iterable[RegionId] = (), points=None,
                extent: float | None = None) -> str:
-    """Draw regions and spectrum points; returns the SVG document text."""
-    pts = _coerce_points(points)
-    f = _Frame(float(extent) if extent is not None else pick_extent(pts))
+    """Draw regions and spectrum points; returns the SVG document text.
+
+    ``points`` is a :class:`JointSpectrum`, or points it can be built from.
+    """
+    if not isinstance(points, JointSpectrum):
+        points = JointSpectrum(() if points is None else points)
+    f = _Frame(float(extent) if extent is not None else pick_extent(points))
     regions = list(regions)
     body: list[str] = []
     body.append(f'<rect x="0" y="0" width="{SIZE}" height="{SIZE}" fill="#ffffff"/>')
     for i, region in enumerate(regions):
         body.extend(_region_layers(region, f, _PALETTE[i % len(_PALETTE)]))
     body.extend(_axes(f))
-    for p in pts:
-        if p.s > f.extent or p.t > f.extent:
-            continue
-        cx, cy = _fmt(f.x(p.s)), _fmt(f.y(p.t))
-        body.append(f'<circle cx="{cx}" cy="{cy}" r="4" fill="{_POINT_COLOR}"/>')
-        if p.mult > 1:
-            body.append(f'<text x="{_fmt(f.x(p.s) + 7)}" y="{_fmt(f.y(p.t) - 7)}" '
-                        f'font-size="11" fill="{_POINT_COLOR}">x{p.mult}</text>')
+    shown = (points.s <= f.extent) & (points.t <= f.extent)
+    xs, ys = f.x(points.s[shown]).tolist(), f.y(points.t[shown]).tolist()
+    for x, y, mult in zip(xs, ys, points.mult[shown].tolist()):
+        body.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="4" fill="{_POINT_COLOR}"/>')
+        if mult > 1:
+            body.append(f'<text x="{_fmt(x + 7)}" y="{_fmt(y - 7)}" '
+                        f'font-size="11" fill="{_POINT_COLOR}">x{mult}</text>')
     for i, region in enumerate(regions):
         color = _PALETTE[i % len(_PALETTE)]
         body.append(f'<text x="{PAD}" y="{18 + 14 * i}" font-size="12" '
@@ -180,6 +165,4 @@ def render_svg(regions: Iterable[RegionId] = (), points=None,
 
 def save_svg(path, regions: Iterable[RegionId] = (), points=None,
              extent: float | None = None) -> None:
-    from pathlib import Path
-
     Path(path).write_text(render_svg(regions, points, extent))

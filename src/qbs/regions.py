@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import BrownianCriteriaMismatch, EmptySpectrum, NotQuasiBrownian
-from .jointspec import JointSpectrum, SpectralPoint, inner_radius
+from .jointspec import JointSpectrum, SpectralPoint, _row, inner_radius
 from .linalg import DEFAULT_EPS
 from .model import AtomKind, AtomModel, QAtom, atom_spectra
 
@@ -188,40 +188,51 @@ def in_region(s, t, region: RegionId, slack: float):
     return hit
 
 
+STATUSES = ("inside", "boundary", "outside")  # the names of the status codes 0, 1, 2
+
+
+def _status(s, t, region: RegionId, eps: float):
+    """Status codes of the points ``(s, t)``; elementwise on arrays."""
+    return np.where(in_region(s, t, region, eps), np.where(in_region(s, t, region, 0.0), 0, 1), 2)
+
+
 def region_membership(point, region: RegionId, eps: float = DEFAULT_EPS) -> str:
     """``inside`` / ``boundary`` / ``outside`` for one point.
 
     ``boundary`` means within the eps band of the region frontier; verdicts
     count it as inside.
     """
-    if isinstance(point, SpectralPoint):
-        s, t = point.s, point.t
-    else:
-        s, t = (float(v) for v in tuple(point)[:2])
-    if not in_region(s, t, region, eps):
-        return "outside"
-    if in_region(s, t, region, 0.0):
-        return "inside"
-    return "boundary"
+    s, t, _, _ = _row(point)
+    return STATUSES[_status(s, t, region, eps)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassificationReport:
+    """A region verdict and each point's status, an index into :data:`STATUSES`.
+
+    ``per_point`` and ``violators`` (a spectrum) are views built on request.
+    """
+
     region: RegionId
     verdict: bool
-    per_point: tuple[tuple[SpectralPoint, str], ...]
-    violators: tuple[SpectralPoint, ...]
+    spectrum: JointSpectrum
+    status: np.ndarray
+
+    @property
+    def per_point(self) -> tuple[tuple[SpectralPoint, str], ...]:
+        return tuple(zip(self.spectrum.points, map(STATUSES.__getitem__, self.status.tolist())))
+
+    @property
+    def violators(self) -> JointSpectrum:
+        return self.spectrum.take(self.status == 2)
 
 
 def classify(sigma: JointSpectrum, region: RegionId, eps: float = DEFAULT_EPS) -> ClassificationReport:
     """Verdict for one operator class: every spectral point inside the region."""
-    if not sigma.points:
+    if not len(sigma):
         raise EmptySpectrum("cannot classify an empty spectrum")
-    inner = np.where(in_region(sigma.s, sigma.t, region, 0.0), "inside", "boundary")
-    status = np.where(in_region(sigma.s, sigma.t, region, eps), inner, "outside")
-    statuses = tuple(zip(sigma.points, status.tolist()))
-    violators = tuple(p for p, st in statuses if st == "outside")
-    return ClassificationReport(region, not violators, statuses, violators)
+    status = _status(sigma.s, sigma.t, region, eps)
+    return ClassificationReport(region, not (status == 2).any(), sigma, status)
 
 
 def left_invertibility_margin(sigma: JointSpectrum) -> float:
@@ -231,10 +242,17 @@ def left_invertibility_margin(sigma: JointSpectrum) -> float:
 
 @dataclass(frozen=True)
 class BrownianReport:
+    """Brownian verdicts; ``violators`` lists ``violators_2d`` then ``violators_3d`` as points."""
+
     quasi_brownian: bool
     brownian: bool
-    violators: tuple[SpectralPoint, ...]
+    violators_2d: JointSpectrum
+    violators_3d: JointSpectrum
     decomposition: BrownianDecomposition | None = None
+
+    @property
+    def violators(self) -> tuple[SpectralPoint, ...]:
+        return self.violators_2d.points + self.violators_3d.points
 
 
 @dataclass(frozen=True)
@@ -315,9 +333,9 @@ def classify_brownian(m: AtomModel, eps: float = DEFAULT_EPS) -> BrownianReport:
     two, three = atom_spectra(m)
     quasi_report = classify(two, TWO_ISOMETRY, eps)
     quasi = quasi_report.verdict
-    off = tuple(p for p in three.points
-                if not (CIRCLE.test(p.s, p.t, eps) or LINE.test(p.r, p.t, eps)))
-    spectral = quasi and not off
+    # the 3-d points off both s^2 + t^2 = 1 and r = 1
+    off = three.take(~(CIRCLE.test(three.s, three.t, eps) | LINE.test(three.r, three.t, eps)))
+    spectral = quasi and not len(off)
     dec = _split_atoms(m, eps) if quasi else None
     if dec is not None and (not dec.shift_flags) != spectral:
         raise BrownianCriteriaMismatch(
@@ -325,4 +343,4 @@ def classify_brownian(m: AtomModel, eps: float = DEFAULT_EPS) -> BrownianReport:
             "sits on an eps-band overlap between the line s = 1 and the "
             "unit circle"
         )
-    return BrownianReport(quasi, spectral, quasi_report.violators + off, dec)
+    return BrownianReport(quasi, spectral, quasi_report.violators, off, dec)

@@ -177,6 +177,16 @@ def test_realize_bad_points(tmp_path, capsys):
     assert code == 2 and err.startswith("error:")
 
 
+def test_multiplicity_below_one_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    for argv, point in ((("realize", "--points", "0.6,0.8;1,1,-5", "--out", str(out)), "1,1,-5"),
+                        (("realize", "--points", "1,1,0", "--out", str(out)), "1,1,0"),
+                        (("oracle", "--point", "0.5,0.5,0"), "0.5,0.5,0")):
+        code, text, err = run(capsys, *argv)
+        assert (code, text) == (2, "") and f"point {point!r} has multiplicity" in err, argv
+        assert not out.exists()
+
+
 # -- dual -------------------------------------------------------------------
 
 def test_dual_writes_model_and_csv(tmp_path, capsys):

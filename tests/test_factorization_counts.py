@@ -81,3 +81,26 @@ def test_library_calls_on_an_embedding(factorizations):
     assert report.verdict and counts == {"norm": 2, "svd": 0, "eigh": 0, "eigvalsh": 3}
     _, counts = _counts(factorizations, lambda: qbs.cauchy_dual(emb))
     assert counts == {"norm": 0, "svd": 0, "eigh": 1, "eigvalsh": 0}
+
+
+def test_cli_jobs_build_no_spectral_point_objects(tmp_path, capsys, monkeypatch):
+    # the spectrum is held as arrays; point objects are built only when asked for
+    made = []
+    init = qbs.SpectralPoint.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    rng = np.random.default_rng(6)
+    pair, emb = tmp_path / "pair.json", tmp_path / "emb.json"
+    model_io.save_model(qbs.PairModel.from_diagonal(*rng.uniform(0.0, 1.2, (2, 600))), pair)
+    model_io.save_model(_rotated_embedding(d=6), emb)
+    monkeypatch.setattr(qbs.SpectralPoint, "__init__", counted)
+    for path in (pair, emb):
+        for argv in (["classify", str(path), "--region", "subnormal"],
+                     ["pencil", str(path), "--which", "e", "--grid", "0:2:0.05",
+                      "--out", str(tmp_path / "scan.csv")],
+                     ["dual", str(path), "--levels", "1", "--out", str(tmp_path / "dual.json")]):
+            assert main(argv) in (0, 1) and not made, (argv, len(made))
+    capsys.readouterr()

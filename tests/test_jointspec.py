@@ -1,6 +1,7 @@
 """Finite joint spectra: construction, maps, radii, projections, CSV."""
 
 import itertools
+import json
 import math
 import time
 
@@ -10,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qbs
+from qbs import io as model_io
 from qbs import jointspec, linalg
 from qbs.errors import (CommutatorTooLarge, EmptySpectrum, ImageOutsideQuadrant,
                         NegativeCoordinate)
+from test_regions import _EVERY_REGION
 
 
 def test_points_are_deduplicated_and_sorted():
@@ -54,6 +57,23 @@ def test_multiplicities_beyond_int64_rejected():
     big = qbs.SpectralPoint(1.0, 0.0, None, 2 ** 62)
     with pytest.raises(ValueError):
         qbs.JointSpectrum((big, big))
+
+
+def test_multiplicities_must_be_whole_numbers():
+    with pytest.raises(ValueError, match="whole"):
+        qbs.JointSpectrum((qbs.SpectralPoint(0.5, 0.5, None, 2.5),
+                           qbs.SpectralPoint(0.7, 0.1, None, 1.5)))
+    with pytest.raises(ValueError, match="whole"):
+        qbs.realize_spectrum([qbs.SpectralPoint(0.5, 0.5, None, 1.5)], 2)
+    with pytest.raises(ValueError, match="whole"):
+        qbs.JointSpectrum.from_arrays([0.5], [0.5], mult=[math.inf])
+    with pytest.raises(ValueError, match="1 multiplicities for 2 points"):
+        qbs.JointSpectrum.from_arrays([0.5, 0.6], [0.1, 0.2], mult=[1])
+    # whole floats and numpy integers are multiplicities
+    sigma = qbs.JointSpectrum((qbs.SpectralPoint(0.5, 0.5, None, 2.0),
+                               qbs.SpectralPoint(0.7, 0.1, None, np.int64(3))))
+    assert [(p.mult, type(p.mult)) for p in sigma] == [(2, int), (3, int)]
+    assert qbs.realize_spectrum(sigma.points, 1).width == 5
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-8])
@@ -367,3 +387,51 @@ def test_construction_of_4000_points_is_not_quadratic(shape):
     sigma = qbs.JointSpectrum(tuple(pts))
     assert time.perf_counter() - start < 2.0
     assert sum(p.mult for p in sigma.points) == n
+
+
+# -- the array entry --------------------------------------------------------
+
+
+@st.composite
+def _columns(draw):
+    """Columns with or without r: exact duplicates, and copies jittered by 1e-9."""
+    dims = draw(st.sampled_from([2, 3]))
+    point = st.tuples(st.lists(st.floats(0.0, 2.0), min_size=dims, max_size=dims),
+                      st.integers(1, 3))
+    rows = draw(st.lists(point, min_size=1, max_size=12))
+    copies = draw(st.lists(st.tuples(st.sampled_from(rows), st.sampled_from([0.0, 1e-9, -1e-9])),
+                           max_size=6))
+    rows += [([c + d for c in coords], m) for (coords, m), d in copies]
+    cols = [np.array(c) for c in zip(*(coords for coords, _ in rows))]
+    return cols, np.array([m for _, m in rows])
+
+
+def _point_json(p) -> dict:
+    """The JSON of one point, encoded point by point."""
+    doc = {"s": qbs.jointspec.format_float(p.s), "t": qbs.jointspec.format_float(p.t)}
+    if p.r is not None:
+        doc["r"] = qbs.jointspec.format_float(p.r)
+    if p.mult != 1:
+        doc["mult"] = p.mult
+    return doc
+
+
+@settings(deadline=None, max_examples=150)
+@given(_columns(), st.sampled_from([1e-9, 1e-3]))
+def test_the_array_entry_matches_the_point_path(columns, eps):
+    cols, mult = columns
+    r = cols[2] if len(cols) == 3 else None
+    sigma = qbs.JointSpectrum.from_arrays(cols[0], cols[1], r, mult)
+    rs = [None] * len(mult) if r is None else r.tolist()
+    points = map(qbs.SpectralPoint, cols[0].tolist(), cols[1].tolist(), rs, mult.tolist())
+    assert sigma.points == qbs.JointSpectrum(tuple(points)).points
+    for region in _EVERY_REGION:
+        report = qbs.classify(sigma, region, eps)
+        want = [qbs.region_membership(p, region, eps) for p in sigma.points]
+        assert [qbs.regions.STATUSES[k] for k in report.status.tolist()] == want, region
+        assert [st for _, st in report.per_point] == want, region
+        outside = tuple(p for p, st in zip(sigma.points, want) if st == "outside")
+        assert report.violators.points == outside and report.verdict == (not outside), region
+    # key order is part of the output, so the documents are compared as JSON text
+    got = json.dumps(model_io.points_to_json(sigma))
+    assert got == json.dumps([_point_json(p) for p in sigma.points])
