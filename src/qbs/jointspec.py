@@ -51,8 +51,8 @@ def _row(p) -> tuple:
     return vals[0], vals[1], vals[2] if len(vals) == 3 else None, 1
 
 
-def _counts(mult) -> list[int]:
-    """Multiplicities as ints: whole numbers >= 1 (``2.0`` is 2) adding up below 2**63."""
+def _counts(mult) -> np.ndarray:
+    """Multiplicities as int64: whole numbers >= 1 (``2.0`` is 2) adding up below 2**63."""
     m = np.asarray(mult)
     whole = m.dtype.kind != "f" or (np.isfinite(m) & (m == np.floor(m))).all()
     if not (whole and (m >= 1).all()):
@@ -60,7 +60,7 @@ def _counts(mult) -> list[int]:
     counts = list(map(int, m.tolist()))
     if sum(counts) >= 2 ** 63:
         raise ValueError("the multiplicities add up beyond 2**63 - 1")
-    return counts
+    return np.array(counts, dtype=np.int64)
 
 
 def _clamped(value, tol: float, what: str) -> float:
@@ -72,46 +72,57 @@ def _clamped(value, tol: float, what: str) -> float:
     return x if x > 0.0 else 0.0  # also turns -0.0 into 0.0
 
 
-def _far_apart(keys: list[tuple], tol: float) -> bool:
-    """True when no two of the sorted ``keys`` lie within ``tol`` of each other.
+def clamped_columns(columns, tol: float, names) -> np.ndarray:
+    """The coordinate rule: ``columns`` as one float array, entries in ``[-tol, 0]`` set to 0.0.
 
-    Checks the pairs whose ``s`` are at most 2 tol apart, and gives up (False)
-    once there are more of them than keys, which leaves dense sets to the
-    array scan of :func:`_merge`.
+    An entry that is NaN or an infinity raises ``ValueError``, and one below
+    ``-tol`` raises :class:`NegativeCoordinate`; the message names the first
+    such point's entry by its column's name in ``names``.
     """
-    budget = len(keys)
-    for i, a in enumerate(keys):
-        for j in range(i + 1, len(keys)):
-            b = keys[j]
-            if b[0] - a[0] > 2.0 * tol:
-                break
-            budget -= 1
-            if budget < 0 or max(abs(p - q) for p, q in zip(a, b)) <= tol:
-                return False
-    return True
+    x = np.array(columns, dtype=float)
+    if not (np.minimum.reduce(x, None, initial=0.0) >= -tol
+            and np.maximum.reduce(x, None, initial=0.0) < math.inf):
+        # walked only to name the first bad entry
+        for row in x.T.tolist():
+            list(map(_clamped, row, repeat(tol), names))
+    return np.where(x > 0.0, x, 0.0)  # also turns -0.0 into 0.0
 
 
-def _merge(keys: list[tuple], counts: list[int], tol: float) -> tuple[list[tuple], list[int]]:
-    """Single-linkage merge of the points ``keys`` at Chebyshev distance ``tol``.
+def _apart(x: np.ndarray, tol: float) -> bool:
+    """True when, along some coordinate, the sorted values lie more than ``tol`` apart.
+
+    Then so do any two of them (a rounded difference grows with the
+    distance), and no two points are within ``tol`` of each other.
+    """
+    v = np.sort(x)
+    gaps = np.minimum.reduce(v[:, 1:] - v[:, :-1], 1, initial=math.inf)
+    return bool(np.logical_or.reduce(gaps > tol))
+
+
+def _merge(x: np.ndarray, counts: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Single-linkage merge of the points, the columns of ``x``, at Chebyshev distance ``tol``.
 
     Returns the lexicographically smallest point of each cluster, in
-    lexicographic order, with the summed multiplicities.
+    lexicographic order, with the summed multiplicities ``counts``.
     """
+    order = np.lexsort(x[::-1])
+    x, counts = x.take(order, 1), counts.take(order)
+    if _apart(x, tol):
+        return x, counts  # nothing near, so nothing equal either
     # exact duplicates first, so that no window below is crowded with equal points
-    total: dict[tuple, int] = {}
-    for key, count in zip(keys, counts):
-        total[key] = total.get(key, 0) + count
-    keys = sorted(total)
-    counts = [total[key] for key in keys]
-    if _far_apart(keys, tol):
-        return keys, counts
+    start = np.empty(x.shape[1], dtype=bool)
+    start[0] = True
+    np.logical_or.reduce(x[:, 1:] != x[:, :-1], out=start[1:])
+    start = start.nonzero()[0]
+    x, counts = x.take(start, 1), np.add.reduceat(counts, start)
+    if _apart(x, tol):
+        return x, counts
     # Near pairs are looked for in windows 2 tol wide along one coordinate, so
     # that rounding of a window's bound cannot drop a pair the exact test
     # would join.
-    x = np.array(keys)
-    n = len(x)
+    n = x.shape[1]
     best = None
-    for column in x.T:  # scan the coordinate whose windows hold the fewest pairs
+    for column in x:  # scan the coordinate whose windows hold the fewest pairs
         order = np.argsort(column, kind="stable")
         v = column[order]
         width = np.searchsorted(v, v + 2.0 * tol, side="right") - np.arange(1, n + 1)
@@ -123,7 +134,7 @@ def _merge(keys: list[tuple], counts: list[int], tol: float) -> tuple[list[tuple
     step, i = 1, np.flatnonzero(width >= 1)
     while len(i):
         a, b = order[i], order[i + step]
-        near = np.abs(x[a] - x[b]).max(axis=1) <= tol
+        near = np.abs(x[:, a] - x[:, b]).max(axis=0) <= tol
         root = _join(root, a[near], b[near])
         step += 1
         if (width >= step).any():
@@ -134,7 +145,7 @@ def _merge(keys: list[tuple], counts: list[int], tol: float) -> tuple[list[tuple
     summed = np.zeros(n, dtype=np.int64)
     np.add.at(summed, root, counts)
     kept = np.flatnonzero(root == np.arange(n))
-    return [keys[k] for k in kept.tolist()], summed[kept].tolist()
+    return x[:, kept], summed[kept]
 
 
 def _join(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -191,18 +202,11 @@ class JointSpectrum:
         tol = float(dedup_tol)
         if not (math.isfinite(tol) and tol >= 0.0):
             raise ValueError(f"dedup_tol = {tol!r} is not a finite nonnegative tolerance")
-        x = np.array(columns, dtype=float)
-        counts = [1] * x.shape[1] if mult is None else _counts(mult)
+        x = clamped_columns(columns, tol, ("s", "t", "r"))
+        counts = np.ones(x.shape[1], dtype=np.int64) if mult is None else _counts(mult)
         if len(counts) != x.shape[1]:
             raise ValueError(f"{len(counts)} multiplicities for {x.shape[1]} points")
-        if x.size and not (x.min() >= -tol and x.max() < math.inf):
-            # walked only to name the first bad entry
-            for row in x.T.tolist():
-                list(map(_clamped, row, repeat(tol), ("s", "t", "r")))
-        x = np.where(x > 0.0, x, 0.0)  # also turns -0.0 into 0.0
-        keys, counts = _merge(list(zip(*x.tolist())), counts, tol)
-        self._set(np.array(keys, dtype=float).reshape(len(keys), len(x)).T,
-                  np.array(counts, dtype=np.int64), tol)
+        self._set(*_merge(x, counts, tol), tol)
 
     def _set(self, x: np.ndarray, mult: np.ndarray, tol: float) -> None:
         x.flags.writeable = mult.flags.writeable = False

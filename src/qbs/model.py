@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 
@@ -41,14 +41,6 @@ from .jointspec import DEDUP_TOL, JointSpectrum
 from .linalg import DEFAULT_EPS, adjoint, as_matrix, opnorm
 
 _COORD_FLOOR = 1e-10  # roundoff negatives this small are clamped to zero
-
-
-def _clamp_coord(x: float, what: str) -> float:
-    if not math.isfinite(x):
-        raise ValueError(f"{what} = {x!r} is not finite")
-    if x < -_COORD_FLOOR:
-        raise NegativeCoordinate(f"{what} = {x!r} must be nonnegative")
-    return 0.0 if x < 0.0 else x
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,14 +66,14 @@ class PairModel:
         return len(self.a)
 
     @classmethod
-    def from_diagonal(cls, a: Iterable[float], b: Iterable[float]) -> "PairModel":
-        av = tuple(_clamp_coord(float(x), "diagonal entry") for x in a)
-        bv = tuple(_clamp_coord(float(x), "diagonal entry") for x in b)
-        if len(av) != len(bv):
-            raise DimensionMismatch(f"diagonals have lengths {len(av)} and {len(bv)}")
-        if not av:
+    def from_diagonal(cls, a: Sequence[float], b: Sequence[float]) -> "PairModel":
+        """A diagonal pair; its entries pass the spectrum's coordinate rule at ``_COORD_FLOOR``."""
+        if len(a) != len(b):
+            raise DimensionMismatch(f"diagonals have lengths {len(a)} and {len(b)}")
+        if not len(a):
             raise ValueError("a commuting pair needs at least one dimension")
-        return cls(a=av, b=bv)
+        av, bv = jointspec.clamped_columns((a, b), _COORD_FLOOR, ("diagonal entry",) * 2).tolist()
+        return cls(a=tuple(av), b=tuple(bv))
 
     @classmethod
     def from_matrices(cls, a, b, eps: float = DEFAULT_EPS) -> "PairModel":

@@ -30,6 +30,8 @@ from .errors import (
 from .jointspec import JointSpectrum
 from .linalg import DEFAULT_EPS
 
+_SCAN_CELLS = 2 ** 20  # alphas x points tested at once, which bounds a scan's memory
+
 
 class IntervalKind(Enum):
     EMPTY = "empty"
@@ -151,6 +153,10 @@ def pencil_scan(emb, which: str, alphas: Iterable[float],
     if alist and not len(sigma):
         raise EmptySpectrum("cannot classify an empty spectrum")
     a = np.array(alist)[:, None]
-    scaled = (sigma.s, a * sigma.t) if token == "e" else (a * sigma.s, sigma.t)
-    verdicts = regions.in_region(*scaled, regions.SUBNORMAL, eps).all(axis=1).tolist()
+    block = max(1, _SCAN_CELLS // max(len(sigma), 1))
+    verdicts = []
+    for lo in range(0, len(alist), block):
+        part = a[lo:lo + block]
+        scaled = (sigma.s, part * sigma.t) if token == "e" else (part * sigma.s, sigma.t)
+        verdicts += regions.in_region(*scaled, regions.SUBNORMAL, eps).all(axis=1).tolist()
     return list(zip(alist, verdicts))

@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import BrownianCriteriaMismatch, EmptySpectrum, NotQuasiBrownian
-from .jointspec import JointSpectrum, SpectralPoint, _row, inner_radius
+from .jointspec import JointSpectrum, SpectralPoint, _row
 from .linalg import DEFAULT_EPS
 from .model import AtomKind, AtomModel, QAtom, atom_spectra
 
@@ -233,11 +233,6 @@ def classify(sigma: JointSpectrum, region: RegionId, eps: float = DEFAULT_EPS) -
         raise EmptySpectrum("cannot classify an empty spectrum")
     status = _status(sigma.s, sigma.t, region, eps)
     return ClassificationReport(region, not (status == 2).any(), sigma, status)
-
-
-def left_invertibility_margin(sigma: JointSpectrum) -> float:
-    """Distance of the spectrum from the origin; positive iff left-invertible."""
-    return inner_radius(sigma)
 
 
 @dataclass(frozen=True)

@@ -372,6 +372,57 @@ def test_a_chain_merges_into_one_point_in_every_order():
         assert [(p.s, p.t, p.mult) for p in sigma.points] == [(0.5, 0.3, 3)]
 
 
+def _grid_single_linkage(x, mult, tol):
+    """Reference merge for thousands of points: union-find over Chebyshev links.
+
+    Two points within ``tol`` lie in the same or in neighbouring cells of a
+    grid 2 tol wide, so only those pairs are tested.
+    """
+    coords = list(zip(*x.tolist()))
+    cells = {}
+    for i, c in enumerate(coords):
+        cells.setdefault(tuple(math.floor(v / (2 * tol)) for v in c), []).append(i)
+    root = list(range(len(coords)))
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    for cell, here in cells.items():
+        for step in itertools.product((-1, 0, 1), repeat=len(cell)):
+            for j in cells.get(tuple(c + d for c, d in zip(cell, step)), ()):
+                for i in here:
+                    if max(abs(a - b) for a, b in zip(coords[i], coords[j])) <= tol:
+                        root[find(i)] = find(j)
+    clusters = {}
+    for i in range(len(coords)):
+        clusters.setdefault(find(i), []).append(i)
+    return sorted((min(coords[i] for i in c), sum(mult[i] for i in c)) for c in clusters.values())
+
+
+@pytest.mark.parametrize("crowded", [0, 1])
+def test_merge_of_thousands_of_points_is_single_linkage(crowded):
+    # 1,000 chains of four points, each step within tol, all within a few tol
+    # along the crowded coordinate, plus 500 exact duplicates
+    rng = np.random.default_rng([17, crowded])
+    tol = jointspec.DEDUP_TOL
+    walk = np.empty((2, 1000))
+    walk[crowded] = 0.5 + rng.integers(0, 4, 1000) * tol
+    walk[1 - crowded] = rng.uniform(0.25, 0.25 + 1e-4, 1000)
+    chains = [walk]
+    for _ in range(3):
+        walk = walk + rng.uniform(-0.9, 0.9, walk.shape) * tol
+        chains.append(walk)
+    x = np.concatenate(chains, axis=1)
+    x = np.concatenate([x, x[:, rng.integers(0, x.shape[1], 500)]], axis=1)
+    mult = rng.integers(1, 4, x.shape[1])
+    sigma = qbs.JointSpectrum.from_arrays(x[0], x[1], mult=mult)
+    want = _grid_single_linkage(x, mult.tolist(), tol)
+    assert list(zip(zip(sigma.s.tolist(), sigma.t.tolist()), sigma.mult.tolist())) == want
+    assert 1 < len(sigma) < 1000  # some chains joined, and no crowd collapsed into one point
+
+
 @pytest.mark.parametrize("shape", ["identical", "one s", "random"])
 def test_construction_of_4000_points_is_not_quadratic(shape):
     # an O(n^2) merge in pure Python takes 10-15 s on each shape; 2 s leaves room for a slow host

@@ -1,6 +1,7 @@
 """Block-operator models: axioms, powers, composition, scaling, atoms."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from qbs.errors import (
     HeadroomExceeded,
     HypothesisViolated,
     ModulusConstraintViolated,
+    NegativeCoordinate,
     NotPositiveSemidefinite,
 )
 from qbs.linalg import adjoint, opnorm
@@ -29,6 +31,19 @@ def _diag_embedding(a, b, levels=4):
 def test_pair_diagonal_length_mismatch():
     with pytest.raises(DimensionMismatch):
         qbs.PairModel.from_diagonal([1.0], [1.0, 2.0])
+
+
+def test_diagonal_entries_follow_the_coordinate_rule_at_the_model_floor():
+    pair = qbs.PairModel.from_diagonal([-5e-11, -0.0, 0.5], [0.25, -1e-10, -0.0])
+    assert pair.a == (0.0, 0.0, 0.5) and pair.b == (0.25, 0.0, 0.0)
+    assert all(math.copysign(1.0, x) == 1.0 for x in pair.a + pair.b)  # no -0.0 left
+    with pytest.raises(NegativeCoordinate, match=r"diagonal entry = -5e-10 "):
+        qbs.PairModel.from_diagonal([0.5, 0.5], [0.5, -5e-10])
+    with pytest.raises(ValueError, match=r"diagonal entry = nan "):
+        qbs.PairModel.from_diagonal([0.5, float("nan")], [0.5, 0.5])
+    # the lengths are compared before any entry is read
+    with pytest.raises(DimensionMismatch):
+        qbs.PairModel.from_diagonal([float("nan"), -1.0], [0.5])
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])

@@ -1,11 +1,14 @@
 """Pencil subnormality intervals and grid scans."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qbs
-from qbs import pencils
+from qbs import pencils, regions
 from qbs.errors import (
     EmptyFlatPart,
     EmptySharpPart,
@@ -96,6 +99,23 @@ def test_pencil_scan_argument_validation():
         qbs.pencil_scan(sigma, "x", [1.0])
     with pytest.raises(ValueError):
         qbs.pencil_scan(sigma, "e", [-0.5])
+
+
+def test_a_large_scan_runs_in_bounded_memory_with_the_rows_of_one_broadcast():
+    rng = np.random.default_rng(3)
+    sigma = qbs.JointSpectrum.from_arrays(rng.uniform(0.0, 0.9, 600), rng.uniform(0.0, 0.5, 600))
+    alphas = np.linspace(0.0, 4.0, 20_000).tolist()
+    tracemalloc.start()
+    try:
+        rows = qbs.pencil_scan(sigma, "e", alphas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20  # the whole 20,000 x 600 grid at once peaks near 275 MB
+    grid = np.array(alphas)[:, None] * sigma.t
+    want = regions.in_region(sigma.s, grid, qbs.SUBNORMAL, 1e-9).all(axis=1).tolist()
+    assert rows == list(zip(alphas, want))
+    assert {ok for _, ok in rows} == {True, False}
 
 
 @settings(deadline=None, max_examples=80)

@@ -191,10 +191,6 @@ def test_boundary_counts_as_inside_for_the_verdict():
     assert qbs.classify(sigma, qbs.CONTRACTION).verdict
 
 
-def test_left_invertibility_margin():
-    assert qbs.left_invertibility_margin(_sig((0.6, 0.8), (2.0, 0.0))) == pytest.approx(1.0)
-
-
 @settings(deadline=None, max_examples=60)
 @given(st.lists(st.tuples(st.floats(0, 2), st.floats(0, 2)), min_size=1, max_size=6))
 def test_isometry_is_contraction_and_expansion(points):
